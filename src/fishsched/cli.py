@@ -10,9 +10,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .compare import compare_campaigns
@@ -153,10 +154,23 @@ def _spec_from_file(path: str) -> SyntheticProgramSpec:
         raise FileNotFoundError(f"no such file: {path}")
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: expected a JSON object")
+    unknown = sorted(set(data) - {f.name for f in fields(SyntheticProgramSpec)})
+    if unknown:
+        raise ValueError(f"{path}: unknown field(s) {unknown}")
     kwargs = dict(data)
-    for key in ("blocks_per_function", "targets_per_function"):
-        if key in kwargs:
-            kwargs[key] = tuple(kwargs[key])
+    for key, value in data.items():
+        if key in ("blocks_per_function", "targets_per_function"):
+            ok = isinstance(value, list) and len(value) == 2
+            ok = ok and all(type(v) is int for v in value)
+            kwargs[key] = tuple(value) if ok else value
+        elif key in ("n_functions", "rng_seed"):
+            ok = type(value) is int
+        else:
+            ok = type(value) in (int, float) and math.isfinite(value)
+        if not ok:
+            raise ValueError(f"{path}: field '{key}' has the wrong type: {value!r}")
     return SyntheticProgramSpec(**kwargs)
 
 
@@ -203,6 +217,30 @@ def cmd_simulate(args) -> int:
             _err(f"{SEED_ENV} must be an integer, got {env_seed!r}")
             return EXIT_INPUT
 
+    # Every campaign is configured, and so validated, before anything is written.
+    if args.seeds < 1:
+        _err("--seeds must be at least 1")
+        return EXIT_INPUT
+    if args.compare and len(schedulers) * args.seeds < 2:
+        _err("--compare needs at least two campaigns")
+        return EXIT_INPUT
+    try:
+        sched_cfg = _scheduler_config(args)
+        configs = [
+            CampaignConfig(
+                scheduler=scheduler,
+                duration=args.duration,
+                executions_per_tick=args.executions_per_tick,
+                rng_seed=seed_base + k,
+                scheduler_config=sched_cfg,
+            )
+            for scheduler in schedulers
+            for k in range(args.seeds)
+        ]
+    except ValueError as exc:
+        _err(str(exc))
+        return EXIT_INPUT
+
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -210,22 +248,13 @@ def cmd_simulate(args) -> int:
         _err(f"cannot create {out_dir}: {exc}")
         return EXIT_OUTPUT
 
-    sched_cfg = _scheduler_config(args)
     results = []
     try:
-        for scheduler in schedulers:
-            for k in range(args.seeds):
-                config = CampaignConfig(
-                    scheduler=scheduler,
-                    duration=args.duration,
-                    executions_per_tick=args.executions_per_tick,
-                    rng_seed=seed_base + k,
-                    scheduler_config=sched_cfg,
-                )
-                result = run_campaign(graph, config)
-                results.append(result)
-                path = out_dir / f"result_{scheduler}_{seed_base + k}.json"
-                path.write_bytes(result.to_json_bytes())
+        for config in configs:
+            result = run_campaign(graph, config)
+            results.append(result)
+            path = out_dir / f"result_{config.scheduler}_{config.rng_seed}.json"
+            path.write_bytes(result.to_json_bytes())
     except OSError as exc:
         _err(f"cannot write results: {exc}")
         return EXIT_OUTPUT
@@ -248,14 +277,19 @@ def _load_results(paths) -> list[CampaignResult]:
     for p in paths:
         if not os.path.exists(p):
             raise FileNotFoundError(f"no such file: {p}")
-        results.append(CampaignResult.from_json_bytes(Path(p).read_bytes()))
+        try:
+            results.append(CampaignResult.from_json_bytes(Path(p).read_bytes()))
+        except KeyError as exc:
+            raise ValueError(f"{p}: missing key {exc.args[0]!r}") from None
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ValueError(f"{p}: not a campaign result: {exc}") from None
     return results
 
 
 def cmd_report(args) -> int:
     try:
         results = _load_results(args.results)
-    except (FileNotFoundError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         _err(str(exc))
         return EXIT_INPUT
 

@@ -14,9 +14,10 @@ import heapq
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
-from .graph import ProgramGraph, Target, dbb_from, graph_hash, cg_distance_from
+from .graph import ProgramGraph, Target, bfs_hops, graph_hash
 
 # A target sitting directly on the execution path would divide by zero in
 # the harmonic average; it enters the mean as this value instead.
@@ -55,28 +56,9 @@ def weight(graph: ProgramGraph, caller: int, callee: int) -> Optional[int]:
     None when callee is not invoked from any block of caller, or when
     every call site is unreachable from the caller's entry block.
     """
-    fn = graph.function(caller)
-    graph.function(callee)  # raises on unknown id
-    sites = [b.id for b in fn.blocks if callee in b.calls]
-    if not sites:
-        return None
-    dist = dbb_from(fn, fn.entry)
-    reachable = [dist[s] for s in sites if s in dist]
-    return min(reachable) if reachable else None
-
-
-def _edge_weights(graph: ProgramGraph) -> dict:
-    out = {}
-    for f in graph.functions:
-        dist = dbb_from(f, f.entry)
-        sites: dict[int, list[int]] = {}
-        for b in f.blocks:
-            for callee in b.calls:
-                sites.setdefault(callee, []).append(b.id)
-        for callee, blocks in sites.items():
-            reachable = [dist[b] for b in blocks if b in dist]
-            out[(f.id, callee)] = min(reachable) if reachable else None
-    return out
+    graph.function(caller)  # raises on unknown id
+    graph.function(callee)
+    return graph.call_weights.get((caller, callee))
 
 
 def build_distance_map(graph: ProgramGraph) -> StaticDistanceMap:
@@ -84,7 +66,7 @@ def build_distance_map(graph: ProgramGraph) -> StaticDistanceMap:
 
     Deterministic: the heap breaks distance ties on the smaller function id.
     """
-    weights = _edge_weights(graph)
+    weights = dict(graph.call_weights)
     adj: dict[int, list[tuple[int, int]]] = {f.id: [] for f in graph.functions}
     for (a, b), w in sorted(weights.items()):
         if w is not None:
@@ -119,8 +101,7 @@ def harmonic_distance(trace, targets: list[Target], graph: ProgramGraph) -> floa
     """
     if not targets:
         raise ValueError("harmonic_distance requires at least one target")
-    funcs = set(trace.functions)
-    dist = cg_distance_from(graph, funcs)
+    dist = bfs_hops(graph.call_successors, trace.functions)
     inv_sum = 0.0
     finite = 0
     for t in targets:
@@ -153,29 +134,74 @@ def save_distance_map(dmap: StaticDistanceMap, path: str) -> None:
 
 
 def load_distance_map(path: str, graph: ProgramGraph) -> StaticDistanceMap:
+    """Load a saved map, rejecting anything save_distance_map cannot write.
+
+    Raises DistanceMapError on corrupt JSON, a missing field, a map built
+    from another graph, a row that is not three integers, a negative
+    distance, an unknown function id, two rows for one pair, or a weight
+    for a non-call edge.
+    """
+
+    def not_an_integer(text):
+        raise DistanceMapError(f"{path}: number {text} is not an integer")
+
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            data = json.load(
+                fh, parse_float=not_an_integer, parse_constant=not_an_integer
+            )
         except json.JSONDecodeError as exc:
             raise DistanceMapError(f"{path}: corrupt file: {exc.msg}") from None
+        except UnicodeDecodeError:
+            raise DistanceMapError(f"{path}: corrupt file: not UTF-8 text") from None
+    if not isinstance(data, dict):
+        raise DistanceMapError(f"{path}: corrupt file: expected a JSON object")
     for key in ("built_from", "weights", "dff"):
         if key not in data:
             raise DistanceMapError(f"{path}: missing field '{key}'")
     expected = graph_hash(graph)
     if data["built_from"] != expected:
         raise DistanceMapError(
-            f"{path}: built_from hash {data['built_from'][:12]}... does not match "
-            f"the supplied graph ({expected[:12]}...)"
+            f"{path}: built_from hash {str(data['built_from'])[:12]}... does not "
+            f"match the supplied graph ({expected[:12]}...)"
         )
-    weights: dict = {(a, b): None for (a, b) in _derived_call_pairs(graph)}
-    for item in data["weights"]:
-        a, b, w = item
+    weights: dict = {pair: None for pair in sorted(graph.call_edges)}
+    for (a, b), w in _rows(path, "weights", data["weights"], graph).items():
         if (a, b) not in weights:
             raise DistanceMapError(f"{path}: weight for non-call-edge ({a},{b})")
         weights[(a, b)] = w
-    dff = {(a, b): d for a, b, d in data["dff"]}
+    dff = _rows(path, "dff", data["dff"], graph)
     return StaticDistanceMap(built_from=data["built_from"], weights=weights, dff=dff)
 
 
-def _derived_call_pairs(graph: ProgramGraph):
-    return sorted(graph.call_edges)
+def _rows(path: str, name: str, rows, graph: ProgramGraph) -> dict:
+    """{(a, b): d} from [a, b, d] rows: two function ids and a distance >= 0.
+
+    Each check is one C-speed pass over a column, so a valid map loads
+    nearly as fast as an unchecked one; only a failing map pays for the
+    scan that finds the bad row. Floats never get here: the parser rejects
+    them.
+    """
+    if not isinstance(rows, list):
+        raise DistanceMapError(f"{path}: field '{name}' is not a list")
+    try:
+        table = {(a, b): d for a, b, d in rows}
+        ids = set(chain.from_iterable(table))
+        ok = {type(i) for i in ids} | set(map(type, table.values())) <= {int}
+    except (TypeError, ValueError):  # a row of the wrong length, or a list id
+        ok = False
+    if not ok:
+        bad = next(
+            r for r in rows
+            if not isinstance(r, list) or len(r) != 3 or {type(x) for x in r} != {int}
+        )
+        raise DistanceMapError(f"{path}: {name} row {bad!r} is not three integers")
+    if len(table) != len(rows):
+        raise DistanceMapError(f"{path}: {name} has two rows for one function pair")
+    if min(table.values(), default=0) < 0:
+        bad = next([a, b, d] for (a, b), d in table.items() if d < 0)
+        raise DistanceMapError(f"{path}: {name} row {bad} has a negative distance")
+    unknown = ids - {f.id for f in graph.functions}
+    if unknown:
+        raise DistanceMapError(f"{path}: {name} names unknown function {min(unknown)}")
+    return table

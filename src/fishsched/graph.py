@@ -12,7 +12,9 @@ import hashlib
 import json
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from functools import cached_property
+from types import MappingProxyType
+from typing import Optional
 
 # Convention: after loading, function ids are dense 0..N-1 and the function
 # with id 0 is the campaign entry point (every execution enters it).
@@ -106,9 +108,6 @@ class ProgramGraph:
         except KeyError:
             raise KeyError(f"unknown function id {fid}") from None
 
-    def has_function(self, fid: int) -> bool:
-        return fid in self._fn_map
-
     def target(self, tid: int) -> Target:
         try:
             return self._target_map[tid]
@@ -118,15 +117,49 @@ class ProgramGraph:
     def targets(self) -> list[Target]:
         return [self._target_map[t] for t in sorted(self._target_map)]
 
-    @property
+    # Derived data: built on first use, so loading a graph pays nothing for
+    # it, and read-only, because every caller shares the one copy.
+
+    @cached_property
     def ground_truth(self) -> frozenset:
         """All caller->callee pairs the execution model may traverse."""
-        pairs = set(self.call_edges)
-        pairs.update((e.from_fn, e.to_fn) for e in self.indirect_edges)
-        return frozenset(pairs)
+        return self.call_edges | {(e.from_fn, e.to_fn) for e in self.indirect_edges}
 
-    def direct_callees(self, fid: int) -> list[int]:
-        return sorted({b for (a, b) in self.call_edges if a == fid})
+    @cached_property
+    def call_weights(self) -> MappingProxyType:
+        """(caller, callee) -> pair weight, for every direct call edge.
+
+        The weight counts conditional edges from the caller's entry to its
+        cheapest call site; None when no call site is reachable.
+        """
+        out = {}
+        for f in self.functions:
+            dist = dbb_from(f, f.entry)
+            sites: dict[int, list[int]] = {}
+            for b in f.blocks:
+                for callee in b.calls:
+                    sites.setdefault(callee, []).append(b.id)
+            for callee, blocks in sites.items():
+                reachable = [dist[b] for b in blocks if b in dist]
+                out[(f.id, callee)] = min(reachable) if reachable else None
+        return MappingProxyType(out)
+
+    @cached_property
+    def call_successors(self) -> MappingProxyType:
+        """Function id -> sorted callees over the static (direct-call) graph."""
+        return _successors(self.functions, self.call_edges)
+
+    @cached_property
+    def ground_truth_successors(self) -> MappingProxyType:
+        """Function id -> sorted callees over direct and hidden indirect edges."""
+        return _successors(self.functions, self.ground_truth)
+
+
+def _successors(functions: tuple[Function, ...], pairs) -> MappingProxyType:
+    adj: dict[int, list[int]] = {f.id: [] for f in functions}
+    for a, b in sorted(pairs):
+        adj[a].append(b)
+    return MappingProxyType({u: tuple(vs) for u, vs in adj.items()})
 
 
 def _derive_call_edges(functions: tuple[Function, ...]) -> frozenset:
@@ -217,10 +250,9 @@ def _parse_function(obj, index: int) -> Function:
 
 
 def _validate(functions: list[Function], indirect: list[IndirectEdge]) -> None:
-    fids = [f.id for f in functions]
-    if len(set(fids)) != len(fids):
+    by_id = {f.id: f for f in functions}
+    if len(by_id) != len(functions):
         raise ValidationError("duplicate function ids")
-    fid_set = set(fids)
 
     seen_targets: dict[int, int] = {}
     for f in functions:
@@ -237,7 +269,7 @@ def _validate(functions: list[Function], indirect: list[IndirectEdge]) -> None:
                         "is not a block of the same function"
                     )
             for callee in b.calls:
-                if callee not in fid_set:
+                if callee not in by_id:
                     raise ValidationError(
                         f"function {f.id}: block {b.id} calls unknown function {callee}"
                     )
@@ -256,11 +288,11 @@ def _validate(functions: list[Function], indirect: list[IndirectEdge]) -> None:
 
     direct = _derive_call_edges(tuple(functions))
     for e in indirect:
-        if e.from_fn not in fid_set or e.to_fn not in fid_set:
+        fn = by_id.get(e.from_fn)
+        if fn is None or e.to_fn not in by_id:
             raise ValidationError(
                 f"indirect edge {e.from_fn}->{e.to_fn} references unknown function"
             )
-        fn = next(f for f in functions if f.id == e.from_fn)
         if not fn.has_block(e.from_block):
             raise ValidationError(
                 f"indirect edge from function {e.from_fn}: "
@@ -441,45 +473,28 @@ def unreachable_blocks(graph: ProgramGraph) -> dict[int, list[int]]:
     """Blocks not reachable from their function's entry, flagged per function."""
     flagged: dict[int, list[int]] = {}
     for f in graph.functions:
-        seen = {f.entry}
-        work = [f.entry]
-        while work:
-            u = work.pop()
-            for v in f.block(u).successors:
-                if v not in seen:
-                    seen.add(v)
-                    work.append(v)
+        seen = bfs_hops({b.id: b.successors for b in f.blocks}, [f.entry])
         missing = sorted(b.id for b in f.blocks if b.id not in seen)
         if missing:
             flagged[f.id] = missing
     return flagged
 
 
-def cg_successors(graph: ProgramGraph) -> dict[int, list[int]]:
-    """Adjacency of the static (direct-call) call graph, sorted for determinism."""
-    adj: dict[int, list[int]] = {f.id: [] for f in graph.functions}
-    for a, b in sorted(graph.call_edges):
-        adj[a].append(b)
-    return adj
+def bfs_hops(successors, sources, allowed=None) -> dict[int, int]:
+    """Breadth-first hop counts from a set of source nodes.
 
-
-def cg_distance_from(graph: ProgramGraph, sources) -> dict[int, int]:
-    """Uniform-weight BFS hop counts over the static call graph from a set."""
-    adj = cg_successors(graph)
+    ``successors`` maps a node to its out-neighbours (a missing node has
+    none). When ``allowed`` is given, nodes outside it are never entered;
+    sources always are. Sources start in ascending order, neighbours are
+    visited in the order ``successors`` lists them.
+    """
     dist = {s: 0 for s in sorted(sources)}
-    dq: deque = deque(sorted(sources))
+    dq: deque = deque(dist)
     while dq:
         u = dq.popleft()
-        for v in adj.get(u, ()):
-            if v not in dist:
-                dist[v] = dist[u] + 1
+        hops = dist[u] + 1
+        for v in successors.get(u, ()):
+            if v not in dist and (allowed is None or v in allowed):
+                dist[v] = hops
                 dq.append(v)
     return dist
-
-
-def iter_cfg_edges(graph: ProgramGraph) -> Iterator[tuple[int, int, int]]:
-    """All intra-function edges as (function, src block, dst block)."""
-    for f in graph.functions:
-        for b in f.blocks:
-            for s in b.successors:
-                yield (f.id, b.id, s)

@@ -1,10 +1,11 @@
-"""Three-phase queue culling and the timeout-driven phase state machine.
+"""Queue culling for every scheduler and the timeout-driven phase state machine.
 
-A campaign widens first (inter-function exploration favors the seed
-closest to each unexplored function that contains targets), then tests
-reached code (plain coverage culling), then narrows onto the least-hit
-reached targets (exploitation). Every cull pass clears all favor flags
-before setting any, so favors never leak across phases.
+A fishfuzz campaign widens first (inter-function exploration favors the
+seed closest to each unexplored function that contains targets), then
+tests reached code (plain coverage culling), then narrows onto the
+least-hit reached targets (exploitation). afl_favor uses only the coverage
+cull and harmonic_directed only harmonic_cull. Every cull pass clears all
+favor flags before setting any, so favors never leak across phases.
 """
 
 from __future__ import annotations
@@ -118,6 +119,21 @@ def inter_function_cull(
             best.favor = True
 
 
+def serviced_targets(ranking: TargetRanking, cfg: SchedulerConfig) -> list[int]:
+    """The targets an exploitation pass services, least-hit first.
+
+    Candidates are the reached targets (triggered ones dropped unless
+    configured otherwise); only the top ceil(fraction * n) are serviced.
+    """
+    candidates = reached_untriggered(
+        ranking, exclude_triggered=not cfg.exploit_include_triggered
+    )
+    if not candidates:
+        return []
+    ordered = order_by_hits(candidates, ranking)
+    return ordered[: math.ceil(len(ordered) * cfg.exploit_fraction)]
+
+
 def exploitation_cull(
     queue: list[Seed],
     ranking: TargetRanking,
@@ -125,26 +141,18 @@ def exploitation_cull(
     dmap: StaticDistanceMap,
     graph: ProgramGraph,
     dsf_fn: Optional[Callable[[Seed, int], Optional[int]]] = None,
-) -> None:
+) -> list[int]:
     """Favor the fastest seed for each of the least-hit reached targets.
 
-    Candidates are the reached targets (triggered ones dropped unless
-    configured otherwise), least-hit first; only the top ceil(fraction * n)
-    are serviced. A serviced target favors the fastest seed whose trace
-    reached it; if no queued seed reaches it, the minimum-distance seed is
-    favored so the pass stays total.
+    A serviced target (see serviced_targets) favors the fastest seed whose
+    trace reached it; if no queued seed reaches it, the minimum-distance
+    seed is favored so the pass stays total. Returns the serviced targets.
     """
     _clear_favors(queue)
     if dsf_fn is None:
         dsf_fn = lambda s, fid: dsf(s, fid, dmap)
-    candidates = reached_untriggered(
-        ranking, exclude_triggered=not cfg.exploit_include_triggered
-    )
-    if not candidates:
-        return
-    ordered = order_by_hits(candidates, ranking)
-    threshold = math.ceil(len(ordered) * cfg.exploit_fraction)
-    for tid in ordered[:threshold]:
+    serviced = serviced_targets(ranking, cfg)
+    for tid in serviced:
         fid = graph.target(tid).function
         best = None
         best_key = None
@@ -161,6 +169,14 @@ def exploitation_cull(
                 best = s
         if best is not None:
             best.favor = True
+    return serviced
+
+
+def harmonic_cull(queue: list[Seed], distance_fn: Callable[[Seed], float]) -> None:
+    """Favor the seed nearest the target set; ties go to the faster, then older seed."""
+    _clear_favors(queue)
+    if queue:
+        min(queue, key=lambda s: (distance_fn(s), s.exec_time, s.id)).favor = True
 
 
 def intra_function_cull(queue: list[Seed]) -> None:

@@ -10,25 +10,26 @@ way it would be at runtime.
 from __future__ import annotations
 
 import json
-import math
 import random
-import weakref
 from dataclasses import dataclass, field
 
-from .distance import build_distance_map, harmonic_distance, weight
+from .distance import build_distance_map, harmonic_distance
 from .execution import ExecutionTrace, Seed, dsf
-from .graph import ENTRY_FUNCTION, ProgramGraph, graph_from_dict, graph_hash
-from .ranking import TargetRanking, order_by_hits, reached_untriggered
+from .graph import ENTRY_FUNCTION, ProgramGraph, bfs_hops, graph_from_dict, graph_hash
+# Not called here; perfbench/spans.py rebinds order_by_hits and reached_untriggered.
+from .ranking import TargetRanking, order_by_hits, reached_untriggered  # noqa: F401
 from .scheduler import (
     FunctionExplorationState,
     Phase,
     PhaseClock,
     SchedulerConfig,
     exploitation_cull,
+    harmonic_cull,
     inter_function_cull,
     intra_function_cull,
     phase_step,
     select_next_seed,
+    serviced_targets,
 )
 
 SCHEDULERS = ("fishfuzz", "round_robin", "afl_favor", "harmonic_directed")
@@ -145,7 +146,7 @@ def generate_program(spec: SyntheticProgramSpec) -> ProgramGraph:
     direct = [e for e in edges if e not in indirect]
 
     if spec.indirect_edge_fraction > 0 and n >= 2:
-        if not _has_indirect_only_function(n, direct, edges):
+        if _reached_from_entry(edges) == _reached_from_entry(direct):
             victim = rng.choice(range(1, n))
             moved = [e for e in direct if e[1] == victim]
             indirect.update(moved)
@@ -186,23 +187,11 @@ def generate_program(spec: SyntheticProgramSpec) -> ProgramGraph:
     return graph_from_dict(data)
 
 
-def _reachable(n: int, edges, start: int = ENTRY_FUNCTION) -> set:
+def _reached_from_entry(edges) -> set:
     adj: dict[int, list[int]] = {}
     for a, b in edges:
         adj.setdefault(a, []).append(b)
-    seen = {start}
-    work = [start]
-    while work:
-        u = work.pop()
-        for v in adj.get(u, ()):
-            if v not in seen:
-                seen.add(v)
-                work.append(v)
-    return seen
-
-
-def _has_indirect_only_function(n: int, direct, all_edges) -> bool:
-    return bool(_reachable(n, all_edges) - _reachable(n, direct))
+    return set(bfs_hops(adj, [ENTRY_FUNCTION]))
 
 
 # ---------------------------------------------------------------------------
@@ -210,36 +199,10 @@ def _has_indirect_only_function(n: int, direct, all_edges) -> bool:
 # ---------------------------------------------------------------------------
 
 
-class _TraceEngine:
-    """Per-graph caches for trace generation (adjacency, edge difficulty)."""
-
-    def __init__(self, graph: ProgramGraph) -> None:
-        self.graph = graph
-        difficulty: dict = {}
-        adj: dict[int, list[int]] = {f.id: [] for f in graph.functions}
-        for a, b in sorted(graph.call_edges):
-            w = weight(graph, a, b)
-            difficulty[(a, b)] = UNREACHABLE_SITE_DIFFICULTY if w is None else w
-            adj[a].append(b)
-        for e in graph.indirect_edges:
-            pair = (e.from_fn, e.to_fn)
-            if pair not in difficulty:
-                difficulty[pair] = 0
-                adj[e.from_fn].append(e.to_fn)
-        self.difficulty = difficulty
-        self.gt_adj = {u: sorted(vs) for u, vs in adj.items()}
-        self.gt_edges = sorted(difficulty)
-
-
-_engines: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
-def _engine(graph: ProgramGraph) -> _TraceEngine:
-    eng = _engines.get(graph)
-    if eng is None:
-        eng = _TraceEngine(graph)
-        _engines[graph] = eng
-    return eng
+def _difficulty(graph: ProgramGraph, u: int, v: int) -> int:
+    """Conditional depth of crossing u->v; hidden indirect edges cost none."""
+    w = graph.call_weights.get((u, v), 0)
+    return UNREACHABLE_SITE_DIFFICULTY if w is None else w
 
 
 def execute_mutation(
@@ -253,7 +216,7 @@ def execute_mutation(
     decays the advance geometrically. Block-level paths inside traversed
     functions decide reached targets and covered edges.
     """
-    eng = _engine(graph)
+    successors = graph.ground_truth_successors
     parent_funcs = sorted(parent.trace.functions) if parent is not None else []
 
     retained = {ENTRY_FUNCTION}
@@ -264,17 +227,17 @@ def execute_mutation(
             retained.add(fid)
 
     # Keep only what execution can actually flow into from the entry.
-    funcs = _component(eng, retained)
+    funcs = set(bfs_hops(successors, [ENTRY_FUNCTION], allowed=retained))
 
     tested: set = set()
     work = sorted(funcs)
     while work:
         u = work.pop(0)
-        for v in eng.gt_adj.get(u, ()):
+        for v in successors[u]:
             if v in funcs or (u, v) in tested:
                 continue
             tested.add((u, v))
-            p = model.frontier_advance ** (1 + eng.difficulty[(u, v)])
+            p = model.frontier_advance ** (1 + _difficulty(graph, u, v))
             if rng.random() < p:
                 funcs.add(v)
                 work.append(v)
@@ -295,9 +258,7 @@ def execute_mutation(
             visited.add(b)
         visited_blocks[fid] = visited
 
-    for u, v in eng.gt_edges:
-        if u in funcs and v in funcs:
-            edges.add(("call", u, v))
+    edges.update(("call", u, v) for u in funcs for v in successors[u] if v in funcs)
 
     reached = set()
     for fid in sorted(funcs):
@@ -316,18 +277,6 @@ def execute_mutation(
         targets_reached=frozenset(reached),
         targets_triggered=frozenset(triggered),
     )
-
-
-def _component(eng: _TraceEngine, candidates: set) -> set:
-    seen = {ENTRY_FUNCTION}
-    work = [ENTRY_FUNCTION]
-    while work:
-        u = work.pop()
-        for v in eng.gt_adj.get(u, ()):
-            if v in candidates and v not in seen:
-                seen.add(v)
-                work.append(v)
-    return seen
 
 
 def sample_exec_time(model: MutationModel, n_functions: int, rng: random.Random) -> int:
@@ -402,6 +351,8 @@ class CampaignResult:
     @classmethod
     def from_json_bytes(cls, raw: bytes) -> "CampaignResult":
         data = json.loads(raw.decode("utf-8"))
+        if not isinstance(data, dict):
+            raise ValueError("expected a JSON object")
         return cls(
             scheduler=data["scheduler"],
             rng_seed=data["rng_seed"],
@@ -469,31 +420,12 @@ def run_campaign_with_queue(graph: ProgramGraph, config: CampaignConfig):
 
     harmonic_cache: dict = {}
 
-    def harmonic_cull() -> None:
-        for s in queue:
-            s.favor = False
-        best = None
-        best_key = None
-        for s in queue:
-            if s.id not in harmonic_cache:
-                harmonic_cache[s.id] = harmonic_distance(s.trace, all_targets, graph)
-            key = (harmonic_cache[s.id], s.exec_time, s.id)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = s
-        if best is not None:
-            best.favor = True
+    def cached_harmonic(seed: Seed) -> float:
+        if seed.id not in harmonic_cache:
+            harmonic_cache[seed.id] = harmonic_distance(seed.trace, all_targets, graph)
+        return harmonic_cache[seed.id]
 
-    serviced_cache: list = []
-
-    def serviced_targets() -> list:
-        candidates = reached_untriggered(
-            ranking, exclude_triggered=not cfg.exploit_include_triggered
-        )
-        if not candidates:
-            return []
-        ordered = order_by_hits(candidates, ranking)
-        return ordered[: math.ceil(len(ordered) * cfg.exploit_fraction)]
+    serviced: list = []  # targets the last exploitation cull serviced
 
     def cull() -> None:
         if policy == "fishfuzz":
@@ -502,12 +434,13 @@ def run_campaign_with_queue(graph: ProgramGraph, config: CampaignConfig):
             elif phase is Phase.INTRA_EXPLORE:
                 intra_function_cull(queue)
             else:
-                serviced_cache[:] = serviced_targets()
-                exploitation_cull(queue, ranking, cfg, dmap, graph, dsf_fn=cached_dsf)
+                serviced[:] = exploitation_cull(
+                    queue, ranking, cfg, dmap, graph, dsf_fn=cached_dsf
+                )
         elif policy == "afl_favor":
             intra_function_cull(queue)
         elif policy == "harmonic_directed":
-            harmonic_cull()
+            harmonic_cull(queue, cached_harmonic)
         # round_robin keeps no favors
 
     cull()
@@ -570,7 +503,7 @@ def run_campaign_with_queue(graph: ProgramGraph, config: CampaignConfig):
             if not recull and policy == "fishfuzz" and phase is Phase.EXPLOIT:
                 # Hit counts move with every execution; rotate service as soon
                 # as the least-hit set changes.
-                recull = serviced_targets() != serviced_cache
+                recull = serviced_targets(ranking, cfg) != serviced
             if recull:
                 cull()
 

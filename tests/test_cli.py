@@ -327,3 +327,106 @@ def test_report_missing_result(tmp_path, capsys):
     )
     assert code == 2
     assert "no such file" in stderr
+
+
+# ---------------------------------------------------------------------------
+# malformed input: one diagnostic line and exit 2, never a traceback
+# ---------------------------------------------------------------------------
+
+
+def _write(path, data):
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def _spec(tmp_path, **fields):
+    return ["simulate", "--spec", _write(tmp_path / "s.spec", {"n_functions": 5, **fields})]
+
+
+def _result_without(tmp_path, graph_file, key):
+    g = load_program(graph_file)
+    data = json.loads(
+        run_campaign(g, CampaignConfig(scheduler="round_robin", duration=5)).to_json_bytes()
+    )
+    del data[key]
+    return _write(tmp_path / "partial.json", data)
+
+
+def _map_with_short_weight_row(tmp_path, graph_file):
+    map_path = tmp_path / "g.map"
+    assert main(["analyze", "--graph", graph_file, "--out", str(map_path)]) == 0
+    data = json.loads(map_path.read_text())
+    data["weights"][0] = data["weights"][0][:2]
+    return _write(map_path, data)
+
+
+BAD_INPUTS = {
+    "spec unknown key": (
+        lambda tmp, g: _spec(tmp, colour=1),
+        "unknown field(s) ['colour']",
+    ),
+    "spec field of the wrong type": (
+        lambda tmp, g: _spec(tmp, n_functions=2.5),
+        "field 'n_functions' has the wrong type",
+    ),
+    "spec range of three numbers": (
+        lambda tmp, g: _spec(tmp, blocks_per_function=[1, 2, 3]),
+        "field 'blocks_per_function' has the wrong type",
+    ),
+    "spec with an infinite density": (
+        lambda tmp, g: _spec(tmp, call_density=float("inf")),
+        "field 'call_density' has the wrong type",
+    ),
+    "negative duration": (
+        lambda tmp, g: ["simulate", "--graph", g, "--duration", "-5"],
+        "duration must be non-negative",
+    ),
+    "zero executions per tick": (
+        lambda tmp, g: ["simulate", "--graph", g, "--executions-per-tick", "0"],
+        "executions_per_tick must be at least 1",
+    ),
+    "exploit fraction above one": (
+        lambda tmp, g: ["simulate", "--graph", g, "--exploit-fraction", "2"],
+        "exploit_fraction must be in (0, 1]",
+    ),
+    "compare with zero seeds": (
+        lambda tmp, g: ["simulate", "--graph", g, "--compare", "fishfuzz,afl_favor",
+                        "--seeds", "0"],
+        "--seeds must be at least 1",
+    ),
+    "compare of a single campaign": (
+        lambda tmp, g: ["simulate", "--graph", g, "--compare", "fishfuzz"],
+        "--compare needs at least two campaigns",
+    ),
+    "result is a list": (
+        lambda tmp, g: ["report", "--kind", "growth", "--out", str(tmp / "x.csv"),
+                        _write(tmp / "list.json", [1, 2])],
+        "list.json: not a campaign result",
+    ),
+    "result missing a key": (
+        lambda tmp, g: ["report", "--kind", "growth", "--out", str(tmp / "x.csv"),
+                        _result_without(tmp, g, "rng_seed")],
+        "partial.json: missing key 'rng_seed'",
+    ),
+    "map weight row of two fields": (
+        lambda tmp, g: ["distance", "--graph", g, "--dff", "0", "1",
+                        "--map", _map_with_short_weight_row(tmp, g)],
+        "is not three integers",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUTS))
+def test_malformed_input_is_one_diagnostic_line(tmp_path, capsys, small_graph_file, case):
+    build, expected = BAD_INPUTS[case]
+    argv = build(tmp_path, small_graph_file)
+    out_dir = tmp_path / "out"
+    if argv[0] == "simulate":
+        argv += ["--out", str(out_dir)]
+    capsys.readouterr()
+    code, stdout, stderr = run_cli(capsys, *argv)
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith("fishsched: ") and stderr.count("\n") == 1
+    assert expected in stderr
+    assert not out_dir.exists()  # rejected before any output is made

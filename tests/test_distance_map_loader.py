@@ -1,0 +1,82 @@
+"""The distance-map loader accepts only what save_distance_map can write."""
+
+import json
+
+import pytest
+
+from fishsched.distance import (
+    DistanceMapError,
+    build_distance_map,
+    load_distance_map,
+    save_distance_map,
+)
+
+
+@pytest.fixture
+def saved_map(tmp_path, chain_graph):
+    """The chain graph's map as a JSON object, and a writer that saves an edit."""
+    path = tmp_path / "chain.map"
+    save_distance_map(build_distance_map(chain_graph), str(path))
+    data = json.loads(path.read_text())
+
+    def write(edited) -> str:
+        path.write_text(json.dumps(edited))
+        return str(path)
+
+    return data, write
+
+
+NOT_THREE = "is not three integers"
+
+# The chain graph has functions 0..2 and call edges (0,1) and (1,2); row 0
+# of its dff is [0, 0, 0]. Each case puts one bad row in place of row 0.
+BAD_ROWS = {
+    "weight row of two fields": ("weights", [0, 1], NOT_THREE),
+    "weight row of four fields": ("weights", [0, 1, 1, 1], NOT_THREE),
+    "weight row with a float": ("weights", [0, 1, 1.5], "1.5 is not an integer"),
+    "weight row with a string": ("weights", [0, "1", 1], NOT_THREE),
+    "weight row that is a number": ("weights", 7, NOT_THREE),
+    "weight row that is a string": ("weights", "abc", NOT_THREE),
+    "weight row with null": ("weights", [0, 1, None], NOT_THREE),
+    "negative weight": ("weights", [0, 1, -1], "negative distance"),
+    "weight for a non-call edge": ("weights", [0, 2, 3], "non-call-edge"),
+    "dff row with a bool": ("dff", [0, 0, True], NOT_THREE),
+    "dff row of two fields": ("dff", [0, 1], NOT_THREE),
+    "dff row with a nested list": ("dff", [0, [1], 1], NOT_THREE),
+    "dff row with NaN": ("dff", [0, 0, float("nan")], "NaN is not an integer"),
+    "dff row with unknown function": ("dff", [0, 3, 4], "unknown function 3"),
+    "dff row with negative function": ("dff", [-1, 0, 4], "unknown function -1"),
+    "negative dff": ("dff", [0, 0, -3], "negative distance"),
+    "duplicate dff row": ("dff", [1, 2, 2], "two rows for one function pair"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_ROWS))
+def test_malformed_row_is_rejected(saved_map, chain_graph, case):
+    data, write = saved_map
+    field, row, message = BAD_ROWS[case]
+    data[field][0] = row
+    with pytest.raises(DistanceMapError, match=message):
+        load_distance_map(write(data), chain_graph)
+
+
+def test_malformed_document_is_rejected(saved_map, chain_graph):
+    data, write = saved_map
+    with pytest.raises(DistanceMapError, match="expected a JSON object"):
+        load_distance_map(write([data]), chain_graph)
+    data["dff"] = {"0": 1}
+    with pytest.raises(DistanceMapError, match="'dff' is not a list"):
+        load_distance_map(write(data), chain_graph)
+
+
+def test_untouched_map_still_loads(saved_map, chain_graph):
+    data, write = saved_map
+    loaded = load_distance_map(write(data), chain_graph)
+    assert loaded == build_distance_map(chain_graph)
+
+
+def test_non_utf8_map_is_rejected(tmp_path, chain_graph):
+    path = tmp_path / "binary.map"
+    path.write_bytes(b"\xff\xfe\x00")
+    with pytest.raises(DistanceMapError, match="corrupt"):
+        load_distance_map(str(path), chain_graph)
