@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .simulator import CampaignResult
 
-# Exact rank-sum enumeration is feasible up to this many total samples;
+# The exact rank-sum distribution is used up to this many total samples;
 # larger groups fall back to the normal approximation.
 EXACT_LIMIT = 20
 
@@ -44,8 +45,10 @@ def rank_sum_p(xs: list[float], ys: list[float]) -> float:
 
     Exact when the pooled sample is small: over every assignment of group
     labels to the pooled midranks, the fraction whose U deviates from its
-    mean at least as much as the observed U. Normal approximation with tie
-    correction otherwise.
+    mean at least as much as the observed U. The assignments are counted by
+    their rank sum (the Mann-Whitney recurrence over doubled midranks, all
+    integers), not enumerated. Normal approximation with tie correction
+    otherwise.
     """
     n1, n2 = len(xs), len(ys)
     if n1 == 0 or n2 == 0:
@@ -58,15 +61,19 @@ def rank_sum_p(xs: list[float], ys: list[float]) -> float:
 
     if n1 + n2 <= EXACT_LIMIT:
         dev = abs(u_obs - mean_u) - 1e-12
-        count = 0
-        total = 0
         min_offset = n1 * (n1 + 1) / 2
-        for combo in itertools.combinations(range(n1 + n2), n1):
-            total += 1
-            u = sum(ranks[i] for i in combo) - min_offset
-            if abs(u - mean_u) >= dev:
-                count += 1
-        return count / total
+        # ways[k][s]: k-subsets of the pooled samples with doubled rank sum s
+        ways = [Counter() for _ in range(n1 + 1)]
+        ways[0][0] = 1
+        for r in ranks:
+            r2 = round(2 * r)
+            for k in range(n1, 0, -1):
+                for s, c in ways[k - 1].items():
+                    ways[k][s + r2] += c
+        count = sum(
+            c for s, c in ways[n1].items() if abs(s / 2 - min_offset - mean_u) >= dev
+        )
+        return count / math.comb(n1 + n2, n1)
 
     n = n1 + n2
     tie_counts: dict[float, int] = {}

@@ -10,6 +10,7 @@ unreachable value raises instead of silently propagating.
 
 from __future__ import annotations
 
+import gc
 import heapq
 import json
 import math
@@ -142,6 +143,18 @@ def load_distance_map(path: str, graph: ProgramGraph) -> StaticDistanceMap:
     for a non-call edge.
     """
 
+    # The parse allocates millions of containers that all survive; pausing
+    # the cyclic collector meanwhile saves it from rescanning them.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _load_distance_map(path, graph)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+
+
+def _load_distance_map(path: str, graph: ProgramGraph) -> StaticDistanceMap:
     def not_an_integer(text):
         raise DistanceMapError(f"{path}: number {text} is not an integer")
 
@@ -186,8 +199,8 @@ def _rows(path: str, name: str, rows, graph: ProgramGraph) -> dict:
         raise DistanceMapError(f"{path}: field '{name}' is not a list")
     try:
         table = {(a, b): d for a, b, d in rows}
-        ids = set(chain.from_iterable(table))
-        ok = {type(i) for i in ids} | set(map(type, table.values())) <= {int}
+        # Every element, not the deduplicated ids: True == 1 would hide there.
+        ok = set(map(type, chain.from_iterable(rows))) <= {int}
     except (TypeError, ValueError):  # a row of the wrong length, or a list id
         ok = False
     if not ok:
@@ -201,7 +214,7 @@ def _rows(path: str, name: str, rows, graph: ProgramGraph) -> dict:
     if min(table.values(), default=0) < 0:
         bad = next([a, b, d] for (a, b), d in table.items() if d < 0)
         raise DistanceMapError(f"{path}: {name} row {bad} has a negative distance")
-    unknown = ids - {f.id for f in graph.functions}
+    unknown = set(chain.from_iterable(table)) - {f.id for f in graph.functions}
     if unknown:
         raise DistanceMapError(f"{path}: {name} names unknown function {min(unknown)}")
     return table

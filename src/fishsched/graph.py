@@ -188,6 +188,13 @@ def _check_keys(obj: dict, allowed: set, where: str) -> None:
         raise ParseError(f"{where}: unknown field(s) {sorted(unknown)}")
 
 
+def _list_field(obj: dict, key: str, where: str) -> list:
+    value = obj.get(key, [])
+    if not isinstance(value, list):
+        raise ParseError(f"{where}.{key}: expected list, got {type(value).__name__}")
+    return value
+
+
 def _nonneg_int(value, where: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool) or value < 0:
         raise ParseError(f"{where}: expected non-negative integer, got {value!r}")
@@ -209,7 +216,7 @@ def _parse_function(obj, index: int) -> Function:
     entry = _nonneg_int(obj["entry"], f"{where}.entry")
 
     blocks = []
-    for j, bobj in enumerate(obj["blocks"]):
+    for j, bobj in enumerate(_list_field(obj, "blocks", where)):
         bwhere = f"{where}.blocks[{j}]"
         if not isinstance(bobj, dict):
             raise ParseError(f"{bwhere}: expected object")
@@ -219,16 +226,16 @@ def _parse_function(obj, index: int) -> Function:
         bid = _nonneg_int(bobj["id"], f"{bwhere}.id")
         succ = tuple(
             _nonneg_int(s, f"{bwhere}.succ[{k}]")
-            for k, s in enumerate(bobj.get("succ", []))
+            for k, s in enumerate(_list_field(bobj, "succ", bwhere))
         )
         calls = tuple(
             _nonneg_int(c, f"{bwhere}.calls[{k}]")
-            for k, c in enumerate(bobj.get("calls", []))
+            for k, c in enumerate(_list_field(bobj, "calls", bwhere))
         )
         blocks.append(BasicBlock(id=bid, successors=succ, calls=calls))
 
     targets = []
-    for j, tobj in enumerate(obj.get("targets", [])):
+    for j, tobj in enumerate(_list_field(obj, "targets", where)):
         twhere = f"{where}.targets[{j}]"
         if not isinstance(tobj, dict):
             raise ParseError(f"{twhere}: expected object")
@@ -346,7 +353,7 @@ def graph_from_dict(data) -> ProgramGraph:
     functions = [_parse_function(o, i) for i, o in enumerate(data["functions"])]
 
     indirect = []
-    for i, eobj in enumerate(data.get("indirect_edges", [])):
+    for i, eobj in enumerate(_list_field(data, "indirect_edges", "top level")):
         where = f"indirect_edges[{i}]"
         if not isinstance(eobj, dict):
             raise ParseError(f"{where}: expected object")
@@ -408,6 +415,8 @@ def load_program(path: str) -> ProgramGraph:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}") from None
+        except UnicodeDecodeError:
+            raise ParseError(f"{path}: not UTF-8 text") from None
     return graph_from_dict(data)
 
 

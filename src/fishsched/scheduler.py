@@ -6,6 +6,10 @@ tests reached code (plain coverage culling), then narrows onto the
 least-hit reached targets (exploitation). afl_favor uses only the coverage
 cull and harmonic_directed only harmonic_cull. Every cull pass clears all
 favor flags before setting any, so favors never leak across phases.
+
+The coverage and exploitation culls keep their per-key best seed in a
+BestSeeds state that folds in only the seeds queued since the last call,
+the way AFL updates top_rated once per admitted seed.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 import enum
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .distance import StaticDistanceMap
@@ -90,6 +94,33 @@ def _clear_favors(queue: list[Seed]) -> None:
         s.favor = False
 
 
+@dataclass
+class BestSeeds:
+    """Per-key best seed over an append-only queue, folded incrementally.
+
+    best maps a key to (rank, seed); seen counts the queue entries already
+    folded. A queued seed never changes and every rank ends in the seed id,
+    so the minimum does not depend on the order seeds are folded in.
+    """
+
+    best: dict = field(default_factory=dict)
+    seen: int = 0
+
+    def fold(self, queue: list[Seed], keys, rank) -> dict:
+        """Fold the seeds queued since the last call; returns best."""
+        if len(queue) < self.seen:
+            raise ValueError("BestSeeds needs an append-only queue")
+        best = self.best
+        for s in queue[self.seen:]:
+            r = rank(s)
+            for k in keys(s):
+                cur = best.get(k)
+                if cur is None or r < cur[0]:
+                    best[k] = (r, s)
+        self.seen = len(queue)
+        return best
+
+
 def inter_function_cull(
     queue: list[Seed],
     fstate: FunctionExplorationState,
@@ -141,29 +172,39 @@ def exploitation_cull(
     dmap: StaticDistanceMap,
     graph: ProgramGraph,
     dsf_fn: Optional[Callable[[Seed, int], Optional[int]]] = None,
+    state: Optional[BestSeeds] = None,
 ) -> list[int]:
     """Favor the fastest seed for each of the least-hit reached targets.
 
     A serviced target (see serviced_targets) favors the fastest seed whose
     trace reached it; if no queued seed reaches it, the minimum-distance
     seed is favored so the pass stays total. Returns the serviced targets.
+    state carries the fastest reaching seed per target across calls on one
+    growing queue; without it the whole queue is folded afresh.
     """
     _clear_favors(queue)
     if dsf_fn is None:
         dsf_fn = lambda s, fid: dsf(s, fid, dmap)
+    if state is None:
+        state = BestSeeds()
+    reaching = state.fold(
+        queue, lambda s: s.trace.targets_reached, lambda s: (s.exec_time, s.id)
+    )
     serviced = serviced_targets(ranking, cfg)
     for tid in serviced:
+        hit = reaching.get(tid)
+        if hit is not None:
+            hit[1].favor = True
+            continue
+        # No queued seed reaches tid, so every seed competes on distance.
         fid = graph.target(tid).function
         best = None
         best_key = None
         for s in queue:
-            if tid in s.trace.targets_reached:
-                key = (0, 0, s.exec_time, s.id)
-            else:
-                d = dsf_fn(s, fid)
-                if d is None:
-                    continue
-                key = (1, d, s.exec_time, s.id)
+            d = dsf_fn(s, fid)
+            if d is None:
+                continue
+            key = (d, s.exec_time, s.id)
             if best_key is None or key < best_key:
                 best_key = key
                 best = s
@@ -179,20 +220,20 @@ def harmonic_cull(queue: list[Seed], distance_fn: Callable[[Seed], float]) -> No
         min(queue, key=lambda s: (distance_fn(s), s.exec_time, s.id)).favor = True
 
 
-def intra_function_cull(queue: list[Seed]) -> None:
+def intra_function_cull(queue: list[Seed], state: Optional[BestSeeds] = None) -> None:
     """Coverage culling: per covered edge, the smallest-and-fastest seed wins.
 
     Greedy marking in ascending edge order: a winner claims all of its
-    edges and already-claimed edges are skipped.
+    edges and already-claimed edges are skipped. state is AFL's top_rated
+    carried across calls on one growing queue; without it the whole queue
+    is folded afresh.
     """
     _clear_favors(queue)
-    top_rated: dict = {}
-    for s in queue:
-        score = (s.exec_time * s.size, s.id)
-        for e in s.trace.edges:
-            cur = top_rated.get(e)
-            if cur is None or score < cur[0]:
-                top_rated[e] = (score, s)
+    if state is None:
+        state = BestSeeds()
+    top_rated = state.fold(
+        queue, lambda s: s.trace.edges, lambda s: (s.exec_time * s.size, s.id)
+    )
     claimed: set = set()
     for e in sorted(top_rated):
         if e in claimed:

@@ -19,6 +19,7 @@ from .graph import ENTRY_FUNCTION, ProgramGraph, bfs_hops, graph_from_dict, grap
 # Not called here; perfbench/spans.py rebinds order_by_hits and reached_untriggered.
 from .ranking import TargetRanking, order_by_hits, reached_untriggered  # noqa: F401
 from .scheduler import (
+    BestSeeds,
     FunctionExplorationState,
     Phase,
     PhaseClock,
@@ -426,19 +427,23 @@ def run_campaign_with_queue(graph: ProgramGraph, config: CampaignConfig):
         return harmonic_cache[seed.id]
 
     serviced: list = []  # targets the last exploitation cull serviced
+    # Best seed per covered edge and per reached target, grown with the queue.
+    intra_state = BestSeeds()
+    exploit_state = BestSeeds()
 
     def cull() -> None:
         if policy == "fishfuzz":
             if phase is Phase.INTER_EXPLORE:
                 inter_function_cull(queue, fstate, dmap, dsf_fn=cached_dsf)
             elif phase is Phase.INTRA_EXPLORE:
-                intra_function_cull(queue)
+                intra_function_cull(queue, state=intra_state)
             else:
                 serviced[:] = exploitation_cull(
-                    queue, ranking, cfg, dmap, graph, dsf_fn=cached_dsf
+                    queue, ranking, cfg, dmap, graph, dsf_fn=cached_dsf,
+                    state=exploit_state,
                 )
         elif policy == "afl_favor":
-            intra_function_cull(queue)
+            intra_function_cull(queue, state=intra_state)
         elif policy == "harmonic_directed":
             harmonic_cull(queue, cached_harmonic)
         # round_robin keeps no favors

@@ -6,6 +6,7 @@ path enumeration and Floyd-Warshall instead of 0/1-BFS and Dijkstra.
 
 from __future__ import annotations
 
+import itertools
 import random
 
 INF = float("inf")
@@ -180,3 +181,30 @@ def all_path_conditional_cost(function, src: int, dst: int, limit: int = 12):
 
     walk(src, 0, {src})
     return best[0]
+
+
+def oracle_rank_sum_p(xs, ys) -> float:
+    """Exact two-sided Mann-Whitney p-value by enumerating every labelling.
+
+    Each pooled value gets its midrank (values below it, plus the middle of
+    its tie block); every choice of n1 pooled positions as group one is one
+    labelling, and the p-value is the share whose U is at least as far from
+    its mean as the observed U.
+    """
+    n1, n2 = len(xs), len(ys)
+    pooled = list(xs) + list(ys)
+    ranks = [
+        sum(1 for w in pooled if w < v) + (sum(1 for w in pooled if w == v) + 1) / 2
+        for v in pooled
+    ]
+    min_offset = n1 * (n1 + 1) / 2
+    mean_u = n1 * n2 / 2
+    dev = abs(sum(ranks[:n1]) - min_offset - mean_u) - 1e-12
+    count = 0
+    total = 0
+    for combo in itertools.combinations(range(n1 + n2), n1):
+        total += 1
+        u = sum(ranks[i] for i in combo) - min_offset
+        if abs(u - mean_u) >= dev:
+            count += 1
+    return count / total

@@ -430,3 +430,56 @@ def test_malformed_input_is_one_diagnostic_line(tmp_path, capsys, small_graph_fi
     assert stderr.startswith("fishsched: ") and stderr.count("\n") == 1
     assert expected in stderr
     assert not out_dir.exists()  # rejected before any output is made
+
+
+def _graph_with(tmp, field, value):
+    """The small graph file with one list field of the first function,
+    its first block or the top level replaced by value."""
+    data = json.loads(open(tmp / "small.graph", encoding="utf-8").read())
+    fn = data["functions"][0]
+    if field in ("succ", "calls"):
+        fn["blocks"][0][field] = value
+    elif field in ("functions", "indirect_edges"):
+        data[field] = value
+    else:
+        fn[field] = value
+    return _write(tmp / f"bad_{field}.graph", data)
+
+
+def _not_utf8(tmp):
+    path = tmp / "not_utf8.graph"
+    path.write_bytes(b"\xff\xfe{")
+    return str(path)
+
+
+BAD_GRAPHS = {
+    "not UTF-8": (_not_utf8, "not UTF-8 text"),
+    **{
+        f"{field} is a number": (
+            lambda tmp, field=field: _graph_with(tmp, field, 5),
+            "expected list" if field != "functions" else "non-list 'functions'",
+        )
+        for field in (
+            "functions", "blocks", "succ", "calls", "targets", "indirect_edges"
+        )
+    },
+    "blocks is an object": (
+        lambda tmp: _graph_with(tmp, "blocks", {"id": 0}),
+        "functions[0].blocks: expected list",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_GRAPHS))
+def test_analyze_malformed_graph_is_one_diagnostic_line(
+    tmp_path, capsys, small_graph_file, case
+):
+    build, expected = BAD_GRAPHS[case]
+    out = tmp_path / "x.map"
+    code, stdout, stderr = run_cli(capsys, "analyze", "--graph", build(tmp_path),
+                                   "--out", str(out))
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith("fishsched: ") and stderr.count("\n") == 1
+    assert expected in stderr
+    assert not out.exists()

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from fishsched.compare import (
@@ -12,6 +14,7 @@ from fishsched.simulator import (
     generate_program,
     run_campaign,
 )
+from oracles import oracle_rank_sum_p
 
 
 def test_gini_flat_distribution_is_zero():
@@ -148,3 +151,18 @@ def test_never_hit_count():
     (r,) = results_for(g, ["round_robin"], [5], duration=20)
     manual = sum(1 for h in r.target_hits.values() if h == 0)
     assert never_hit_count(r) == manual
+
+
+def test_rank_sum_exact_p_equals_enumeration():
+    # Few distinct values force ties; halves and quarters are fractional.
+    rng = random.Random(271828)
+    cases = [([float(i) for i in range(10)], [float(i) + 0.5 for i in range(10)])]
+    cases.append(([1.0] * 10, [1.0] * 9 + [2.0]))
+    while len(cases) < 60:
+        n1, n2 = rng.randint(1, 8), rng.randint(1, 8)
+        pool = [rng.choice((0, 1, 2)) + rng.choice((0.0, 0.25, 0.5)) for _ in range(4)]
+        values = [rng.choice(pool) if rng.random() < 0.5 else rng.uniform(-5, 5)
+                  for _ in range(n1 + n2)]
+        cases.append((values[:n1], values[n1:]))
+    for xs, ys in cases:
+        assert rank_sum_p(xs, ys) == oracle_rank_sum_p(xs, ys), (xs, ys)

@@ -1,5 +1,6 @@
 """The distance-map loader accepts only what save_distance_map can write."""
 
+import gc
 import json
 
 import pytest
@@ -80,3 +81,34 @@ def test_non_utf8_map_is_rejected(tmp_path, chain_graph):
     path.write_bytes(b"\xff\xfe\x00")
     with pytest.raises(DistanceMapError, match="corrupt"):
         load_distance_map(str(path), chain_graph)
+
+
+@pytest.mark.parametrize(
+    "field, pair, bad", [("weights", [1, 2], [True, 2]), ("dff", [1, 1], [True, True])]
+)
+def test_bool_function_id_is_rejected(saved_map, chain_graph, field, pair, bad):
+    # An earlier row already names function 1, so a set of the ids would
+    # keep that 1 and drop the true that equals it.
+    data, write = saved_map
+    index = next(i for i, r in enumerate(data[field]) if r[:2] == pair)
+    assert any(1 in r[:2] for r in data[field][:index])
+    data[field][index] = bad + data[field][index][2:]
+    with pytest.raises(DistanceMapError, match=NOT_THREE):
+        load_distance_map(write(data), chain_graph)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_load_leaves_the_collector_as_it_found_it(saved_map, chain_graph, enabled):
+    data, write = saved_map
+    clean = write(data)
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        load_distance_map(clean, chain_graph)
+        assert gc.isenabled() is enabled
+        data["dff"][0] = [0, 0, -1]
+        with pytest.raises(DistanceMapError):
+            load_distance_map(write(data), chain_graph)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()

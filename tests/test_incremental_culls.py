@@ -1,0 +1,120 @@
+"""Culls that carry BestSeeds state across calls favor exactly what a fresh
+stateless call favors, at every step of a queue that grows one seed at a
+time while the target ranking moves underneath it.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fishsched.distance import build_distance_map
+from fishsched.execution import ExecutionTrace, Seed, dsf
+from fishsched.ranking import TargetRanking
+from fishsched.scheduler import (
+    BestSeeds,
+    SchedulerConfig,
+    exploitation_cull,
+    intra_function_cull,
+)
+from fishsched.simulator import SyntheticProgramSpec, generate_program
+
+GRAPH = generate_program(
+    SyntheticProgramSpec(n_functions=6, targets_per_function=(1, 2), rng_seed=4)
+)
+DMAP = build_distance_map(GRAPH)
+FUNCTIONS = [f.id for f in GRAPH.functions]
+TARGETS = [t.id for t in GRAPH.targets()]
+OWNER = {t.id: t.function for t in GRAPH.targets()}
+
+
+@st.composite
+def traces(draw):
+    funcs = draw(st.frozensets(st.sampled_from(FUNCTIONS), max_size=4))
+    owned = [tid for tid in TARGETS if OWNER[tid] in funcs]
+    reached = draw(st.frozensets(st.sampled_from(owned))) if owned else frozenset()
+    triggered = frozenset()
+    if reached:
+        triggered = draw(st.frozensets(st.sampled_from(sorted(reached))))
+    edges = draw(st.frozensets(st.integers(0, 11), max_size=5))
+    return ExecutionTrace(
+        functions=funcs,
+        edges=edges,
+        targets_reached=reached,
+        targets_triggered=triggered,
+    )
+
+
+# One growth step: the seed to queue (few distinct times and sizes, so rank
+# ties fall through to the seed id) and executions that only move the
+# ranking, which can make a target serviced that no queued seed reaches.
+steps = st.tuples(
+    traces(), st.integers(1, 3), st.integers(1, 3), st.lists(traces(), max_size=2)
+)
+configs = st.builds(
+    SchedulerConfig,
+    exploit_fraction=st.sampled_from([0.2, 0.5, 1.0]),
+    exploit_include_triggered=st.booleans(),
+)
+
+
+def _favored(queue) -> list:
+    return [s.id for s in queue if s.favor]
+
+
+def check_growth(steps, cfg) -> int:
+    """Grow a queue step by step, checking both culls after every append.
+
+    Returns how many exploitation culls had to fall back to the dsf scan.
+    """
+    queue: list = []
+    ranking = TargetRanking(GRAPH)
+    intra_state, exploit_state = BestSeeds(), BestSeeds()
+    fallbacks = 0
+    for sid, (trace, exec_time, size, ranking_only) in enumerate(steps):
+        ranking.record_execution(trace, sid)
+        for other in ranking_only:
+            ranking.record_execution(other, sid)
+        queue.append(Seed(id=sid, exec_time=exec_time, size=size, trace=trace))
+
+        intra_function_cull(queue, state=intra_state)
+        carried = _favored(queue)
+        intra_function_cull(queue)
+        assert carried == _favored(queue)
+        assert intra_state.seen == len(queue)
+
+        lookups = []
+
+        def counted(seed, fid):
+            lookups.append(fid)
+            return dsf(seed, fid, DMAP)
+
+        serviced = exploitation_cull(
+            queue, ranking, cfg, DMAP, GRAPH, dsf_fn=counted, state=exploit_state
+        )
+        carried = _favored(queue)
+        assert exploitation_cull(queue, ranking, cfg, DMAP, GRAPH) == serviced
+        assert carried == _favored(queue)
+
+        unreached = [
+            t for t in serviced if not any(t in s.trace.targets_reached for s in queue)
+        ]
+        # Only targets no queued seed reaches may cost a dsf lookup.
+        assert sorted(set(lookups)) == sorted({OWNER[t] for t in unreached})
+        fallbacks += bool(unreached)
+    return fallbacks
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(steps, min_size=1, max_size=12), configs)
+def test_carried_state_favors_what_a_fresh_cull_favors(steps, cfg):
+    check_growth(steps, cfg)
+
+
+def test_serviced_target_without_a_reaching_seed_uses_the_dsf_scan():
+    entry_only = ExecutionTrace(functions=frozenset({0}))
+    far = next(tid for tid in TARGETS if OWNER[tid] != 0)
+    # Only a ranking-only execution reaches the far target; the queue never does.
+    reaches_far = ExecutionTrace(
+        functions=frozenset({OWNER[far]}), targets_reached=frozenset({far})
+    )
+    steps = [(entry_only, 2, 1, [reaches_far]), (entry_only, 1, 2, [])]
+    assert check_growth(steps, SchedulerConfig()) == 2
