@@ -279,10 +279,8 @@ def _load_results(paths) -> list[CampaignResult]:
             raise FileNotFoundError(f"no such file: {p}")
         try:
             results.append(CampaignResult.from_json_bytes(Path(p).read_bytes()))
-        except KeyError as exc:
-            raise ValueError(f"{p}: missing key {exc.args[0]!r}") from None
-        except (AttributeError, TypeError, ValueError) as exc:
-            raise ValueError(f"{p}: not a campaign result: {exc}") from None
+        except ValueError as exc:
+            raise ValueError(f"{p}: {exc}") from None
     return results
 
 

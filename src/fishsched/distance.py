@@ -11,14 +11,20 @@ unreachable value raises instead of silently propagating.
 from __future__ import annotations
 
 import gc
-import heapq
 import json
 import math
 from dataclasses import dataclass
 from itertools import chain
 from typing import Optional
 
-from .graph import ProgramGraph, Target, bfs_hops, graph_hash
+from .graph import (
+    ProgramGraph,
+    Target,
+    bfs_hops,
+    canonical_json,
+    graph_hash,
+    shortest_paths,
+)
 
 # A target sitting directly on the execution path would divide by zero in
 # the harmonic average; it enters the mean as this value instead.
@@ -63,10 +69,7 @@ def weight(graph: ProgramGraph, caller: int, callee: int) -> Optional[int]:
 
 
 def build_distance_map(graph: ProgramGraph) -> StaticDistanceMap:
-    """All-pairs dff over the weighted direct-call graph (Dijkstra per source).
-
-    Deterministic: the heap breaks distance ties on the smaller function id.
-    """
+    """All-pairs dff over the weighted direct-call graph (Dijkstra per source)."""
     weights = dict(graph.call_weights)
     adj: dict[int, list[tuple[int, int]]] = {f.id: [] for f in graph.functions}
     for (a, b), w in sorted(weights.items()):
@@ -74,19 +77,8 @@ def build_distance_map(graph: ProgramGraph) -> StaticDistanceMap:
             adj[a].append((b, w))
 
     dff: dict = {}
-    for src in sorted(f.id for f in graph.functions):
-        dist = {src: 0}
-        heap = [(0, src)]
-        while heap:
-            d, u = heapq.heappop(heap)
-            if d > dist.get(u, math.inf):
-                continue
-            for v, w in adj[u]:
-                nd = d + w
-                if nd < dist.get(v, math.inf):
-                    dist[v] = nd
-                    heapq.heappush(heap, (nd, v))
-        for dst, d in dist.items():
+    for src in sorted(adj):
+        for dst, d in shortest_paths(adj, [src]).items():
             dff[(src, dst)] = d
     return StaticDistanceMap(built_from=graph_hash(graph), weights=weights, dff=dff)
 
@@ -129,9 +121,8 @@ def save_distance_map(dmap: StaticDistanceMap, path: str) -> None:
         ],
         "dff": [[a, b, d] for (a, b), d in sorted(dmap.dff.items())],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    with open(path, "wb") as fh:
+        fh.write(canonical_json(data))
 
 
 def load_distance_map(path: str, graph: ProgramGraph) -> StaticDistanceMap:

@@ -9,6 +9,7 @@ live in a separate ground-truth field that static analysis never sees.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import json
 from collections import deque
 from dataclasses import dataclass, field
@@ -420,11 +421,20 @@ def load_program(path: str) -> ProgramGraph:
     return graph_from_dict(data)
 
 
+def canonical_json(data) -> bytes:
+    """Compact, key-sorted JSON plus a newline: every JSON file fishsched writes.
+
+    One-shot json.dumps runs CPython's C encoder; streaming json.dump to a
+    file does not.
+    """
+    return (json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n").encode(
+        "utf-8"
+    )
+
+
 def canonical_bytes(graph: ProgramGraph) -> bytes:
     """Canonical serialization used for content hashing and saving."""
-    return (
-        json.dumps(graph_to_dict(graph), sort_keys=True, separators=(",", ":")) + "\n"
-    ).encode("utf-8")
+    return canonical_json(graph_to_dict(graph))
 
 
 def graph_hash(graph: ProgramGraph) -> str:
@@ -445,27 +455,13 @@ def dbb_from(function: Function, src: int) -> dict[int, int]:
     """Conditional-edge distances from ``src`` to every reachable block.
 
     An edge counts as conditional iff its source block has two or more
-    successors. 0/1 breadth-first search over the block graph; successors
-    visited in ascending block id for determinism.
+    successors; a conditional edge weighs 1 and any other edge 0.
     """
     if not function.has_block(src):
         raise KeyError(f"function {function.id} has no block {src}")
-    dist = {src: 0}
-    dq: deque = deque([src])
-    while dq:
-        u = dq.popleft()
-        du = dist[u]
-        block = function.block(u)
-        w = 1 if block.is_conditional else 0
-        for v in sorted(block.successors):
-            dv = du + w
-            if v not in dist or dv < dist[v]:
-                dist[v] = dv
-                if w == 0:
-                    dq.appendleft(v)
-                else:
-                    dq.append(v)
-    return dist
+    adj = {b.id: [(v, int(b.is_conditional)) for v in b.successors]
+           for b in function.blocks}
+    return shortest_paths(adj, [src])
 
 
 def dbb(function: Function, src: int, dst: int) -> Optional[int]:
@@ -487,6 +483,27 @@ def unreachable_blocks(graph: ProgramGraph) -> dict[int, list[int]]:
         if missing:
             flagged[f.id] = missing
     return flagged
+
+
+def shortest_paths(adj, sources) -> dict[int, int]:
+    """Least total weight from any source to every reachable node (Dijkstra).
+
+    ``adj`` maps a node to its (neighbour, weight >= 0) pairs; a missing
+    node has none. Sources are at distance 0. The unweighted walk is
+    bfs_hops.
+    """
+    dist = {s: 0 for s in sorted(sources)}
+    heap = [(0, s) for s in dist]  # sorted, so already a heap
+    while heap:
+        d, u = heapq.heappop(heap)
+        if d > dist[u]:
+            continue
+        for v, w in adj.get(u, ()):
+            nd = d + w
+            if v not in dist or nd < dist[v]:
+                dist[v] = nd
+                heapq.heappush(heap, (nd, v))
+    return dist
 
 
 def bfs_hops(successors, sources, allowed=None) -> dict[int, int]:

@@ -31,13 +31,6 @@ class UpdateSummary:
     new_reached: int = 0
     new_triggered: int = 0
 
-    def merged(self, *, new_functions: int) -> "UpdateSummary":
-        return UpdateSummary(
-            new_functions=new_functions,
-            new_reached=self.new_reached,
-            new_triggered=self.new_triggered,
-        )
-
 
 class TargetRanking:
     """Per-target dynamic state covering exactly the graph's target set."""

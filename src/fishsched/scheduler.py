@@ -7,9 +7,11 @@ least-hit reached targets (exploitation). afl_favor uses only the coverage
 cull and harmonic_directed only harmonic_cull. Every cull pass clears all
 favor flags before setting any, so favors never leak across phases.
 
-The coverage and exploitation culls keep their per-key best seed in a
-BestSeeds state that folds in only the seeds queued since the last call,
-the way AFL updates top_rated once per admitted seed.
+The coverage, exploitation and harmonic culls keep their per-key best
+seed in a BestSeeds state that folds in only the seeds queued since the
+last call, the way AFL updates top_rated once per admitted seed. The
+closest-seed scan by dsf is _favor_closest, shared by the inter-function
+cull and the exploitation fallback.
 """
 
 from __future__ import annotations
@@ -61,7 +63,6 @@ class SchedulerConfig:
     exploit_fraction: float = 0.20
     exploit_include_triggered: bool = False
     exploit_timeout_to: Phase = Phase.INTER_EXPLORE
-    skip_unfavored_probability: float = 1.0
 
     def __post_init__(self) -> None:
         for name in ("w_function", "w_reach", "w_trigger"):
@@ -69,8 +70,6 @@ class SchedulerConfig:
                 raise ValueError(f"{name} must be non-negative")
         if not 0 < self.exploit_fraction <= 1:
             raise ValueError("exploit_fraction must be in (0, 1]")
-        if not 0 <= self.skip_unfavored_probability <= 1:
-            raise ValueError("skip_unfavored_probability must be in [0, 1]")
 
 
 class FunctionExplorationState:
@@ -121,33 +120,38 @@ class BestSeeds:
         return best
 
 
+def _favor_closest(queue: list[Seed], fid: int, dsf_fn) -> None:
+    """Favor the seed nearest function fid by dsf.
+
+    Ties on distance go to the faster, then the older seed. Marks no one
+    when no seed has a finite distance.
+    """
+    best = None
+    best_key = None
+    for s in queue:
+        d = dsf_fn(s, fid)
+        if d is None:
+            continue
+        key = (d, s.exec_time, s.id)
+        if best_key is None or key < best_key:
+            best_key = key
+            best = s
+    if best is not None:
+        best.favor = True
+
+
 def inter_function_cull(
     queue: list[Seed],
     fstate: FunctionExplorationState,
     dmap: StaticDistanceMap,
     dsf_fn: Optional[Callable[[Seed, int], Optional[int]]] = None,
 ) -> None:
-    """Favor the closest seed for each unexplored function holding targets.
-
-    Ties on distance prefer the lowest execution time, then the smaller
-    seed id. Functions with no finite-distance seed mark no one.
-    """
+    """Favor the closest seed (_favor_closest) for each unexplored target function."""
     _clear_favors(queue)
     if dsf_fn is None:
         dsf_fn = lambda s, fid: dsf(s, fid, dmap)
     for fid in fstate.unexplored_target_functions():
-        best = None
-        best_key = None
-        for s in queue:
-            d = dsf_fn(s, fid)
-            if d is None:
-                continue
-            key = (d, s.exec_time, s.id)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = s
-        if best is not None:
-            best.favor = True
+        _favor_closest(queue, fid, dsf_fn)
 
 
 def serviced_targets(ranking: TargetRanking, cfg: SchedulerConfig) -> list[int]:
@@ -197,27 +201,24 @@ def exploitation_cull(
             hit[1].favor = True
             continue
         # No queued seed reaches tid, so every seed competes on distance.
-        fid = graph.target(tid).function
-        best = None
-        best_key = None
-        for s in queue:
-            d = dsf_fn(s, fid)
-            if d is None:
-                continue
-            key = (d, s.exec_time, s.id)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = s
-        if best is not None:
-            best.favor = True
+        _favor_closest(queue, graph.target(tid).function, dsf_fn)
     return serviced
 
 
-def harmonic_cull(queue: list[Seed], distance_fn: Callable[[Seed], float]) -> None:
-    """Favor the seed nearest the target set; ties go to the faster, then older seed."""
+def harmonic_cull(
+    queue: list[Seed], distance_fn: Callable[[Seed], float], state: BestSeeds
+) -> None:
+    """Favor the seed nearest the target set; ties go to the faster, then older seed.
+
+    state holds the nearest seed of the queue folded so far, so distance_fn
+    runs once per seed; a fresh BestSeeds() folds the whole queue.
+    """
     _clear_favors(queue)
-    if queue:
-        min(queue, key=lambda s: (distance_fn(s), s.exec_time, s.id)).favor = True
+    nearest = state.fold(
+        queue, lambda s: (None,), lambda s: (distance_fn(s), s.exec_time, s.id)
+    )
+    if nearest:
+        nearest[None][1].favor = True
 
 
 def intra_function_cull(queue: list[Seed], state: Optional[BestSeeds] = None) -> None:
@@ -270,15 +271,12 @@ def phase_step(
     return phase
 
 
-def select_next_seed(
-    queue: list[Seed],
-    rng: random.Random,
-    skip_unfavored_probability: float = 1.0,
-) -> Seed:
+def select_next_seed(queue: list[Seed], rng: random.Random) -> Seed:
     """Uniform choice among favored seeds, falling back to the whole queue."""
     if not queue:
         raise ValueError("cannot select from an empty queue")
     favored = [s for s in queue if s.favor]
-    if favored and rng.random() < skip_unfavored_probability:
+    if favored:
+        rng.random()  # keeps the rng stream of the old skip-unfavored draw
         return rng.choice(favored)
     return rng.choice(queue)

@@ -11,11 +11,18 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 from .distance import build_distance_map, harmonic_distance
 from .execution import ExecutionTrace, Seed, dsf
-from .graph import ENTRY_FUNCTION, ProgramGraph, bfs_hops, graph_from_dict, graph_hash
+from .graph import (
+    ENTRY_FUNCTION,
+    ProgramGraph,
+    bfs_hops,
+    canonical_json,
+    graph_from_dict,
+    graph_hash,
+)
 # Not called here; perfbench/spans.py rebinds order_by_hits and reached_untriggered.
 from .ranking import TargetRanking, order_by_hits, reached_untriggered  # noqa: F401
 from .scheduler import (
@@ -30,7 +37,6 @@ from .scheduler import (
     intra_function_cull,
     phase_step,
     select_next_seed,
-    serviced_targets,
 )
 
 SCHEDULERS = ("fishfuzz", "round_robin", "afl_favor", "harmonic_directed")
@@ -302,7 +308,6 @@ class CampaignConfig:
     executions_per_tick: int = 1
     rng_seed: int = 0
     scheduler_config: SchedulerConfig = field(default_factory=SchedulerConfig)
-    mutation: MutationModel = field(default_factory=MutationModel)
 
     def __post_init__(self) -> None:
         if self.scheduler not in SCHEDULERS:
@@ -315,59 +320,89 @@ class CampaignConfig:
             raise ValueError("executions_per_tick must be at least 1")
 
 
+# Checks of result-file values. A type must match exactly, so a JSON true
+# is no integer.
+
+
+def _checked(check):
+    return field(metadata={"check": check})
+
+
+def _is(t):
+    return _checked(lambda v: type(v) is t)
+
+
+def _list_of(t):
+    return _checked(lambda v: type(v) is list and all(type(x) is t for x in v))
+
+
+def _rows(*types):
+    """A list of rows, each a list whose items have exactly these types."""
+    return _checked(lambda v: type(v) is list and all(
+        type(r) is list and list(map(type, r)) == list(types) for r in v
+    ))
+
+
+def _counts(key_ok=lambda k: True):
+    """An object with integer values, each key passing key_ok."""
+    return _checked(lambda v: type(v) is dict and all(
+        key_ok(k) and type(n) is int for k, n in v.items()
+    ))
+
+
+def _decimal_id(key: str) -> bool:
+    try:
+        return str(int(key)) == key
+    except ValueError:
+        return False
+
+
 @dataclass
 class CampaignResult:
-    scheduler: str
-    rng_seed: int
-    graph_hash: str
-    duration: int
-    series: list  # [tick, covered_edges, reached, triggered] per tick
-    target_hits: dict  # target id -> executions that reached it
-    triggered_targets: list
-    phase_timeline: list  # [tick, phase, event]
-    queue_stats: dict
-    final_coverage: int
-    final_reached: int
-    final_triggered: int
+    """One campaign's outcome; each field carries the check of its file value."""
+
+    scheduler: str = _is(str)
+    rng_seed: int = _is(int)
+    graph_hash: str = _is(str)
+    duration: int = _is(int)
+    series: list = _rows(int, int, int, int)  # [tick, covered, reached, triggered]
+    target_hits: dict = _counts(_decimal_id)  # target id -> executions reaching it
+    triggered_targets: list = _list_of(int)
+    phase_timeline: list = _rows(int, str, str)  # [tick, phase, event]
+    queue_stats: dict = _counts()
+    final_coverage: int = _is(int)
+    final_reached: int = _is(int)
+    final_triggered: int = _is(int)
 
     def to_json_bytes(self) -> bytes:
-        data = {
-            "scheduler": self.scheduler,
-            "rng_seed": self.rng_seed,
-            "graph_hash": self.graph_hash,
-            "duration": self.duration,
-            "series": self.series,
-            "target_hits": {str(k): v for k, v in self.target_hits.items()},
-            "triggered_targets": self.triggered_targets,
-            "phase_timeline": self.phase_timeline,
-            "queue_stats": self.queue_stats,
-            "final_coverage": self.final_coverage,
-            "final_reached": self.final_reached,
-            "final_triggered": self.final_triggered,
-        }
-        return (json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n").encode(
-            "utf-8"
-        )
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        data["target_hits"] = {str(k): v for k, v in self.target_hits.items()}
+        return canonical_json(data)
 
     @classmethod
     def from_json_bytes(cls, raw: bytes) -> "CampaignResult":
-        data = json.loads(raw.decode("utf-8"))
+        """Parse a result file; ValueError names the first bad or missing field."""
+        try:
+            data = json.loads(raw.decode("utf-8"))
+        except UnicodeDecodeError:
+            raise ValueError("not a campaign result: not UTF-8 text") from None
+        except (ValueError, RecursionError) as exc:
+            raise ValueError(f"not a campaign result: {exc}") from None
         if not isinstance(data, dict):
-            raise ValueError("expected a JSON object")
-        return cls(
-            scheduler=data["scheduler"],
-            rng_seed=data["rng_seed"],
-            graph_hash=data["graph_hash"],
-            duration=data["duration"],
-            series=[list(row) for row in data["series"]],
-            target_hits={int(k): v for k, v in data["target_hits"].items()},
-            triggered_targets=list(data["triggered_targets"]),
-            phase_timeline=[list(row) for row in data["phase_timeline"]],
-            queue_stats=data["queue_stats"],
-            final_coverage=data["final_coverage"],
-            final_reached=data["final_reached"],
-            final_triggered=data["final_triggered"],
-        )
+            raise ValueError("not a campaign result: expected a JSON object")
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"not a campaign result: unknown field(s) {unknown}")
+        for f in fields(cls):
+            if f.name not in data:
+                raise ValueError(f"missing key {f.name!r}")
+            if not f.metadata["check"](data[f.name]):
+                raise ValueError(
+                    f"not a campaign result: field {f.name!r} has the wrong type"
+                    " or shape"
+                )
+        data["target_hits"] = {int(k): v for k, v in data["target_hits"].items()}
+        return cls(**data)
 
 
 def run_campaign(graph: ProgramGraph, config: CampaignConfig) -> CampaignResult:
@@ -379,7 +414,7 @@ def run_campaign(graph: ProgramGraph, config: CampaignConfig) -> CampaignResult:
 def run_campaign_with_queue(graph: ProgramGraph, config: CampaignConfig):
     """run_campaign plus the final seed queue, for inspection and tests."""
     rng = random.Random(config.rng_seed)
-    model = config.mutation
+    model = MutationModel()
     cfg = config.scheduler_config
     policy = config.scheduler
 
@@ -401,7 +436,7 @@ def run_campaign_with_queue(graph: ProgramGraph, config: CampaignConfig):
     )
     queue = [seed0]
     summary0 = ranking.record_execution(trace0, 0)
-    summary0 = summary0.merged(new_functions=fstate.observe(trace0))
+    summary0 = replace(summary0, new_functions=fstate.observe(trace0))
     clock.update(0, summary0)
 
     covered: set = set(trace0.edges)
@@ -419,17 +454,11 @@ def run_campaign_with_queue(graph: ProgramGraph, config: CampaignConfig):
             dsf_cache[key] = dsf(seed, fid, dmap)
         return dsf_cache[key]
 
-    harmonic_cache: dict = {}
-
-    def cached_harmonic(seed: Seed) -> float:
-        if seed.id not in harmonic_cache:
-            harmonic_cache[seed.id] = harmonic_distance(seed.trace, all_targets, graph)
-        return harmonic_cache[seed.id]
-
-    serviced: list = []  # targets the last exploitation cull serviced
-    # Best seed per covered edge and per reached target, grown with the queue.
+    # Best seed per covered edge, per reached target and over the whole
+    # queue, grown with the queue.
     intra_state = BestSeeds()
     exploit_state = BestSeeds()
+    harmonic_state = BestSeeds()
 
     def cull() -> None:
         if policy == "fishfuzz":
@@ -438,19 +467,22 @@ def run_campaign_with_queue(graph: ProgramGraph, config: CampaignConfig):
             elif phase is Phase.INTRA_EXPLORE:
                 intra_function_cull(queue, state=intra_state)
             else:
-                serviced[:] = exploitation_cull(
+                exploitation_cull(
                     queue, ranking, cfg, dmap, graph, dsf_fn=cached_dsf,
                     state=exploit_state,
                 )
         elif policy == "afl_favor":
             intra_function_cull(queue, state=intra_state)
         elif policy == "harmonic_directed":
-            harmonic_cull(queue, cached_harmonic)
+            harmonic_cull(
+                queue,
+                lambda s: harmonic_distance(s.trace, all_targets, graph),
+                harmonic_state,
+            )
         # round_robin keeps no favors
 
     cull()
     rr_index = 0
-    next_seed_id = 1
 
     for now in range(1, config.duration + 1):
         for _ in range(config.executions_per_tick):
@@ -458,7 +490,7 @@ def run_campaign_with_queue(graph: ProgramGraph, config: CampaignConfig):
                 parent = queue[rr_index % len(queue)]
                 rr_index += 1
             else:
-                parent = select_next_seed(queue, rng, cfg.skip_unfavored_probability)
+                parent = select_next_seed(queue, rng)
 
             trace = execute_mutation(parent, model, graph, rng)
             exec_time = sample_exec_time(model, len(trace.functions), rng)
@@ -466,7 +498,7 @@ def run_campaign_with_queue(graph: ProgramGraph, config: CampaignConfig):
             executions += 1
 
             summary = ranking.record_execution(trace, now)
-            summary = summary.merged(new_functions=fstate.observe(trace))
+            summary = replace(summary, new_functions=fstate.observe(trace))
             reached_count += summary.new_reached
             trig_count += summary.new_triggered
 
@@ -476,7 +508,7 @@ def run_campaign_with_queue(graph: ProgramGraph, config: CampaignConfig):
             if admitted:
                 queue.append(
                     Seed(
-                        id=next_seed_id,
+                        id=len(queue),
                         exec_time=exec_time,
                         size=size,
                         trace=trace,
@@ -484,7 +516,6 @@ def run_campaign_with_queue(graph: ProgramGraph, config: CampaignConfig):
                         created_at=now,
                     )
                 )
-                next_seed_id += 1
 
             prev = phase
             phase = phase_step(phase, clock, now, cfg, summary)
@@ -504,12 +535,10 @@ def run_campaign_with_queue(graph: ProgramGraph, config: CampaignConfig):
             novelty = (
                 summary.new_functions or summary.new_reached or summary.new_triggered
             )
-            recull = phase is not prev or admitted or novelty
-            if not recull and policy == "fishfuzz" and phase is Phase.EXPLOIT:
-                # Hit counts move with every execution; rotate service as soon
-                # as the least-hit set changes.
-                recull = serviced_targets(ranking, cfg) != serviced
-            if recull:
+            # Hit counts move with every execution, so exploitation reculls
+            # after each one to rotate service onto the least-hit targets.
+            exploiting = policy == "fishfuzz" and phase is Phase.EXPLOIT
+            if phase is not prev or admitted or novelty or exploiting:
                 cull()
 
         series.append([now, len(covered), reached_count, trig_count])

@@ -1,12 +1,18 @@
 import csv
 import json
+import tempfile
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fishsched.cli import main
 from fishsched.graph import load_program, save_program
 from fishsched.simulator import (
     CampaignConfig,
+    CampaignResult,
     SyntheticProgramSpec,
     generate_program,
     run_campaign,
@@ -483,3 +489,141 @@ def test_analyze_malformed_graph_is_one_diagnostic_line(
     assert stderr.startswith("fishsched: ") and stderr.count("\n") == 1
     assert expected in stderr
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# malformed result files: the report must not trip over a bad field
+# ---------------------------------------------------------------------------
+
+
+def _result_data(graph_file):
+    g = load_program(graph_file)
+    config = CampaignConfig(scheduler="fishfuzz", duration=20)
+    return json.loads(run_campaign(g, config).to_json_bytes())
+
+
+def _result_with(tmp, graph_file, name="bad.json", **fields):
+    return _write(tmp / name, {**_result_data(graph_file), **fields})
+
+
+BAD_RESULTS = {
+    "series row of two numbers": (
+        "growth",
+        lambda tmp, g: [_result_with(tmp, g, series=[[1, 2]])],
+        "field 'series'",
+    ),
+    "target hit count is a string": (
+        "energy",
+        lambda tmp, g: [_result_with(tmp, g, target_hits={"1": "x"})],
+        "field 'target_hits'",
+    ),
+    "phase timeline row of one number": (
+        "phases",
+        lambda tmp, g: [_result_with(tmp, g, phase_timeline=[[0]])],
+        "field 'phase_timeline'",
+    ),
+    "string seed beside an integer seed": (
+        "growth",
+        lambda tmp, g: [_result_with(tmp, g, "good.json"),
+                        _result_with(tmp, g, rng_seed="x")],
+        "field 'rng_seed'",
+    ),
+    "nesting deeper than the parser's recursion limit": (
+        "growth",
+        lambda tmp, g: [_deeply_nested(tmp)],
+        "recursion",
+    ),
+}
+
+
+def _deeply_nested(tmp):
+    path = tmp / "bad.json"
+    path.write_text("[" * 100_000)
+    return str(path)
+
+
+@pytest.mark.parametrize("case", list(BAD_RESULTS))
+def test_report_malformed_result_is_one_diagnostic_line(
+    tmp_path, capsys, small_graph_file, case
+):
+    kind, build, expected = BAD_RESULTS[case]
+    out = tmp_path / "x.csv"
+    paths = build(tmp_path, small_graph_file)
+    code, stdout, stderr = run_cli(capsys, "report", "--kind", kind, "--out", str(out),
+                                   *paths)
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith("fishsched: ") and stderr.count("\n") == 1
+    assert "bad.json: not a campaign result" in stderr and expected in stderr
+    assert not out.exists()
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+RESULT_FIELDS = [f.name for f in fields(CampaignResult)]
+
+
+def _valid_results():
+    g = generate_program(SyntheticProgramSpec(n_functions=8, rng_seed=3))
+    return [
+        json.loads(run_campaign(g, CampaignConfig(scheduler=s, duration=30)).to_json_bytes())
+        for s in ("fishfuzz", "round_robin")
+    ]
+
+
+VALID_RESULTS = _valid_results()
+# Values of the right type and shape, however odd, for each result field.
+_ints = st.integers()
+_short_text = st.text(max_size=4)
+WELL_TYPED = {
+    **{name: _ints for name in ("rng_seed", "duration", "final_coverage",
+                                "final_reached", "final_triggered")},
+    "scheduler": _short_text,
+    "graph_hash": _short_text,
+    "series": st.lists(st.lists(_ints, min_size=4, max_size=4), max_size=3),
+    "target_hits": st.dictionaries(_ints.map(str), _ints, max_size=3),
+    "triggered_targets": st.lists(_ints, max_size=3),
+    "phase_timeline": st.lists(
+        st.tuples(_ints, _short_text, _short_text).map(list), max_size=3
+    ),
+    "queue_stats": st.dictionaries(_short_text, _ints, max_size=3),
+}
+
+
+@st.composite
+def result_objects(draw):
+    """A real result with some fields dropped or replaced, or any object."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.dictionaries(st.sampled_from(RESULT_FIELDS) | _short_text,
+                                    json_values, max_size=14))
+    data = dict(draw(st.sampled_from(VALID_RESULTS)))
+    for name in draw(st.lists(st.sampled_from(RESULT_FIELDS), max_size=3)):
+        how = draw(st.integers(0, 3))
+        if how == 0:
+            data.pop(name, None)
+        elif how == 1:
+            data[name] = draw(json_values)
+        else:
+            data[name] = draw(WELL_TYPED[name])
+    return data
+
+
+@settings(max_examples=200, deadline=None)
+@given(result_objects())
+def test_any_result_object_loads_or_is_rejected(data):
+    raw = json.dumps(data).encode("utf-8")
+    try:
+        result = CampaignResult.from_json_bytes(raw)
+    except ValueError:
+        return
+    assert CampaignResult.from_json_bytes(result.to_json_bytes()) == result
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "r.json"
+        path.write_bytes(raw)
+        for kind in ("energy", "phases", "growth"):
+            out = Path(tmp) / f"{kind}.csv"
+            assert main(["report", "--kind", kind, "--out", str(out), str(path)]) == 0

@@ -1,9 +1,11 @@
 """Campaign output does not depend on the interpreter's string-hash seed.
 
 Sets and dicts of strings iterate in a hash-seed-dependent order, so any
-walk driven by such an order would show up here as differing bytes.
+walk driven by such an order would show up here as differing bytes. The
+bytes themselves are pinned too, so a refactor cannot change them unseen.
 """
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -38,3 +40,26 @@ def test_outputs_identical_across_hash_seeds(tmp_path):
     for seed in ("1", "12345"):
         assert runs[seed][0] == stdout, f"stdout differs under PYTHONHASHSEED={seed}"
         assert runs[seed][1] == files, f"result bytes differ under PYTHONHASHSEED={seed}"
+
+
+# SHA-256 of every output of _simulate, pinned when the scheduler and the
+# campaign loop were last refactored; a refactor must leave each one unchanged.
+PINNED_SHA256 = {
+    "comparison.csv": "5f754386089d5d39c8efe92698883d96652f79dbb9f816706dbc3f634d6a1838",
+    "result_afl_favor_1.json": "ff95af5ff537c3351a1852fa560eb6e0d3597f69dd97cb7fd825a53bba651c71",
+    "result_afl_favor_2.json": "1dd1fd57bad2a8ad29cf5a1b01dcd05fd08a9a01fd02a3b497f7b3bc434df104",
+    "result_fishfuzz_1.json": "79a2f7a5844379bb69b3c236c06c3e7dfaccf809be346fae41e818fb32984a31",
+    "result_fishfuzz_2.json": "2646094315b1781c7b3a02c1ebf8057e806b84bd02aea5c620cc8c14f214e3a0",
+    "result_harmonic_directed_1.json": "623054911e8632f04d4cd220e0b6df6c08caaf2b53273de00e9f0d303d4382eb",
+    "result_harmonic_directed_2.json": "2eb9ca55828c196fe80de4653f93d1c9a98d081be7938d7e73e6430df93838cb",
+    "result_round_robin_1.json": "729e8876d21fc4d68165005e2a81d6dd85d34d3574afdbacdf7344aa55149470",
+    "result_round_robin_2.json": "81792f0335735db5590dbed7c6a1fb66efed2dfdf43e676c9f2da854f50df305",
+}
+PINNED_STDOUT_SHA256 = "d4c4ba996a4c93799506568288c0cc08ffcd230d9aac0d6d97249856bcbde79e"
+
+
+def test_outputs_match_pinned_digests(tmp_path):
+    stdout, files = _simulate(tmp_path, "0")
+    digests = {name: hashlib.sha256(data).hexdigest() for name, data in files.items()}
+    assert digests == PINNED_SHA256
+    assert hashlib.sha256(stdout).hexdigest() == PINNED_STDOUT_SHA256

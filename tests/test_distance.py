@@ -11,8 +11,9 @@ from fishsched.distance import (
     save_distance_map,
     weight,
 )
-from fishsched.execution import ExecutionTrace
-from fishsched.graph import graph_from_dict
+from fishsched.execution import ExecutionTrace, dsf
+from fishsched.graph import graph_from_dict, shortest_paths
+from fishsched.simulator import run_campaign_with_queue, standard_config, standard_graph
 from conftest import linear_block, make_graph
 from oracles import (
     all_path_conditional_cost,
@@ -237,3 +238,23 @@ def test_infinite_weights_reconstructed_on_load(tmp_path):
     save_distance_map(dmap, str(path))
     loaded = load_distance_map(str(path), g)
     assert loaded.weights == {(0, 1): None}
+
+
+# ---------------------------------------------------------------------------
+# shortest_paths from a seed's functions is dsf over the all-pairs map
+# ---------------------------------------------------------------------------
+
+
+def test_shortest_paths_from_traversed_functions_is_dsf():
+    graph = standard_graph()
+    _result, queue = run_campaign_with_queue(graph, standard_config("fishfuzz", 1, 300))
+    dmap = build_distance_map(graph)
+    adj: dict = {}
+    for (a, b), w in graph.call_weights.items():
+        if w is not None:
+            adj.setdefault(a, []).append((b, w))
+    assert len(queue) > 10
+    for seed in queue:
+        dist = shortest_paths(adj, seed.trace.functions)
+        for f in graph.functions:
+            assert dist.get(f.id) == dsf(seed, f.id, dmap), (seed.id, f.id)

@@ -11,6 +11,7 @@ from fishsched.graph import (
     graph_hash,
     load_program,
     save_program,
+    shortest_paths,
     unreachable_blocks,
 )
 from conftest import linear_block, make_graph
@@ -261,3 +262,21 @@ def test_round_trip_identity(tmp_path, fig2_graph):
         g2 = load_program(str(path))
         assert g2 == g
         assert graph_hash(g2) == graph_hash(g)
+
+
+def test_shortest_paths_matches_networkx_dijkstra():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(5)
+    for _ in range(30):
+        n = rng.randint(1, 12)
+        adj: dict = {}
+        g = nx.DiGraph()
+        g.add_nodes_from(range(n))
+        for _ in range(rng.randint(0, 3 * n)):
+            u, v, w = rng.randrange(n), rng.randrange(n), rng.randint(0, 3)
+            if u != v and not g.has_edge(u, v):
+                adj.setdefault(u, []).append((v, w))
+                g.add_edge(u, v, weight=w)
+        sources = rng.sample(range(n), rng.randint(1, n))
+        expected = nx.multi_source_dijkstra_path_length(g, sources)
+        assert shortest_paths(adj, sources) == expected

@@ -1,18 +1,19 @@
 """Culls that carry BestSeeds state across calls favor exactly what a fresh
-stateless call favors, at every step of a queue that grows one seed at a
+state favors, at every step of a queue that grows one seed at a
 time while the target ranking moves underneath it.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fishsched.distance import build_distance_map
+from fishsched.distance import build_distance_map, harmonic_distance
 from fishsched.execution import ExecutionTrace, Seed, dsf
 from fishsched.ranking import TargetRanking
 from fishsched.scheduler import (
     BestSeeds,
     SchedulerConfig,
     exploitation_cull,
+    harmonic_cull,
     intra_function_cull,
 )
 from fishsched.simulator import SyntheticProgramSpec, generate_program
@@ -61,13 +62,13 @@ def _favored(queue) -> list:
 
 
 def check_growth(steps, cfg) -> int:
-    """Grow a queue step by step, checking both culls after every append.
+    """Grow a queue step by step, checking the three culls after every append.
 
     Returns how many exploitation culls had to fall back to the dsf scan.
     """
     queue: list = []
     ranking = TargetRanking(GRAPH)
-    intra_state, exploit_state = BestSeeds(), BestSeeds()
+    intra_state, exploit_state, harmonic_state = BestSeeds(), BestSeeds(), BestSeeds()
     fallbacks = 0
     for sid, (trace, exec_time, size, ranking_only) in enumerate(steps):
         ranking.record_execution(trace, sid)
@@ -80,6 +81,21 @@ def check_growth(steps, cfg) -> int:
         intra_function_cull(queue)
         assert carried == _favored(queue)
         assert intra_state.seen == len(queue)
+
+        measured = []
+
+        def harmonic(seed):
+            measured.append(seed.id)
+            return harmonic_distance(seed.trace, GRAPH.targets(), GRAPH)
+
+        harmonic_cull(queue, harmonic, harmonic_state)
+        carried = _favored(queue)
+        # Only the seed just queued is measured; the rest is carried.
+        assert measured == [sid]
+        harmonic_cull(queue, harmonic, BestSeeds())
+        assert carried == _favored(queue)
+        nearest = min(queue, key=lambda s: (harmonic(s), s.exec_time, s.id))
+        assert carried == [nearest.id]
 
         lookups = []
 
