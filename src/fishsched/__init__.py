@@ -4,6 +4,7 @@ from .graph import (
     BasicBlock,
     Function,
     GraphError,
+    InputError,
     ParseError,
     ProgramGraph,
     Target,

@@ -1,7 +1,8 @@
 """Command-line entry point tying analysis, simulation, and reporting together.
 
-All diagnostics go to stderr, data to files or stdout; exit status 0 means
-no diagnostic was emitted. Every subcommand is deterministic: identical
+All diagnostics go to stderr, data to files or stdout. The exit status is
+0 on success, 2 on bad input (one ``fishsched:`` line on stderr) and 3 when
+an output cannot be written. Every subcommand is deterministic: identical
 inputs produce byte-identical outputs.
 """
 
@@ -9,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import math
 import os
 import sys
@@ -18,20 +18,20 @@ from pathlib import Path
 
 from .compare import compare_campaigns
 from .distance import (
-    DistanceMapError,
     build_distance_map,
     harmonic_distance,
     load_distance_map,
     save_distance_map,
 )
-from .execution import dsf, multi_target_distance, parse_trace_line
-from .graph import GraphError, load_program
-from .ranking import energy_series
+from .execution import ExecutionTrace, dsf, multi_target_distance, parse_trace_line
+from .graph import InputError, decode_text, load_program, read_bytes, read_json
+from .ranking import TargetRanking, energy_series
 from .simulator import (
     STANDARD_SPEC,
     CampaignConfig,
     CampaignResult,
     SCHEDULERS,
+    SpecError,
     SyntheticProgramSpec,
     generate_program,
     run_campaign,
@@ -58,107 +58,91 @@ def _fmt_float(value: float) -> str:
     return format(value, ".12g")
 
 
-def _load_graph(path: str):
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"no such file: {path}")
-    return load_program(path)
-
-
 def _read_trace(path: str):
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"no such file: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
+    for line in decode_text(read_bytes(path), InputError, path).splitlines():
+        if line.strip():
+            try:
                 return parse_trace_line(line)
-    raise ValueError(f"{path}: no trace line found")
+            except ValueError as exc:
+                raise InputError(f"{path}: {exc.args[0]}") from None
+    raise InputError(f"{path}: no trace line found")
+
+
+def _write_csv(path, rows) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows(rows)
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: bad input raises InputError, main() turns it into exit 2
 # ---------------------------------------------------------------------------
 
 
-def cmd_analyze(args) -> int:
-    try:
-        graph = _load_graph(args.graph)
-    except (FileNotFoundError, GraphError) as exc:
-        _err(str(exc))
-        return EXIT_INPUT
+def cmd_analyze(args) -> None:
+    graph = load_program(args.graph)
     dmap = build_distance_map(graph)
-    try:
-        save_distance_map(dmap, args.out)
-    except OSError as exc:
-        _err(f"cannot write {args.out}: {exc}")
-        return EXIT_OUTPUT
+    save_distance_map(dmap, args.out)
     n_targets = len(graph.targets())
     finite = sum(1 for (a, b) in dmap.dff if a != b)
     print(
         f"functions={graph.n_functions} targets={n_targets} finite_dff_pairs={finite}"
     )
-    return EXIT_OK
 
 
-def cmd_distance(args) -> int:
+def cmd_distance(args) -> None:
+    graph = load_program(args.graph)
+    dmap = load_distance_map(args.map, graph)
+    seed, fids, tids = None, [], []
+    if args.dff is not None:
+        fids = args.dff
+    elif args.dsf is not None:
+        seed, fids = _read_trace(args.dsf[0]), [args.dsf[1]]
+    elif args.multi is not None:
+        seed, tids = _read_trace(args.multi[0]), args.multi[1].split(",")
+    elif args.harmonic is not None:
+        seed = _read_trace(args.harmonic)
+    else:
+        raise InputError("one of --dff/--dsf/--multi/--harmonic is required")
+    # Every id the query names, on the command line or in the trace, must be
+    # in the graph: a distance to an unknown function would print as inf.
+    trace = seed.trace if seed is not None else ExecutionTrace()
     try:
-        graph = _load_graph(args.graph)
-        dmap = load_distance_map(args.map, graph)
-    except (FileNotFoundError, GraphError, DistanceMapError) as exc:
-        _err(str(exc))
-        return EXIT_INPUT
+        fids = [int(f) for f in fids]
+        tids = [int(t) for t in tids if t]
+        for fid in [*fids, *trace.functions]:
+            graph.function(fid)
+        for tid in [*tids, *trace.targets_reached]:
+            graph.target(tid)
+    except (KeyError, ValueError) as exc:
+        raise InputError(exc.args[0]) from None
 
-    try:
-        if args.dff is not None:
-            fa, fb = args.dff
-            graph.function(fa)
-            graph.function(fb)
-            print(_fmt_distance(dmap.dff_value(fa, fb)))
-        elif args.dsf is not None:
-            trace_path, fid = args.dsf
-            seed = _read_trace(trace_path)
-            print(_fmt_distance(dsf(seed, int(fid), dmap)))
-        elif args.multi is not None:
-            trace_path, id_list = args.multi
-            seed = _read_trace(trace_path)
-            targets = [int(x) for x in id_list.split(",") if x]
-            ranking = _ranking_from_trace(graph, seed)
-            vector = multi_target_distance(seed, targets, ranking, dmap, graph)
-            for tid in targets:
-                print(f"{tid} {_fmt_distance(vector[tid])}")
-        elif args.harmonic is not None:
-            seed = _read_trace(args.harmonic)
-            value = harmonic_distance(seed.trace, graph.targets(), graph)
-            print(_fmt_float(value))
-        else:
-            _err("one of --dff/--dsf/--multi/--harmonic is required")
-            return EXIT_INPUT
-    except (FileNotFoundError, KeyError, ValueError) as exc:
-        _err(str(exc))
-        return EXIT_INPUT
-    return EXIT_OK
-
-
-def _ranking_from_trace(graph, seed):
-    from .ranking import TargetRanking
-
-    ranking = TargetRanking(graph)
-    ranking.record_execution(seed.trace, 0)
-    return ranking
+    if args.dff is not None:
+        print(_fmt_distance(dmap.dff_value(*fids)))
+    elif args.dsf is not None:
+        print(_fmt_distance(dsf(seed, fids[0], dmap)))
+    elif args.multi is not None:
+        ranking = TargetRanking(graph)
+        ranking.record_execution(trace, 0)
+        vector = multi_target_distance(seed, tids, ranking, dmap, graph)
+        for tid in tids:
+            print(f"{tid} {_fmt_distance(vector[tid])}")
+    elif not graph.targets():
+        raise InputError(f"{args.graph}: --harmonic needs a graph with targets")
+    else:
+        print(_fmt_float(harmonic_distance(trace, graph.targets(), graph)))
 
 
 def _spec_from_file(path: str) -> SyntheticProgramSpec:
     if path == "standard":
         return STANDARD_SPEC
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"no such file: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = read_json(path, SpecError)
     if not isinstance(data, dict):
-        raise ValueError(f"{path}: expected a JSON object")
+        raise SpecError(f"{path}: expected a JSON object")
     unknown = sorted(set(data) - {f.name for f in fields(SyntheticProgramSpec)})
     if unknown:
-        raise ValueError(f"{path}: unknown field(s) {unknown}")
+        raise SpecError(f"{path}: unknown field(s) {unknown}")
+    if "n_functions" not in data:
+        raise SpecError(f"{path}: missing field 'n_functions'")
     kwargs = dict(data)
     for key, value in data.items():
         if key in ("blocks_per_function", "targets_per_function"):
@@ -168,9 +152,9 @@ def _spec_from_file(path: str) -> SyntheticProgramSpec:
         elif key in ("n_functions", "rng_seed"):
             ok = type(value) is int
         else:
-            ok = type(value) in (int, float) and math.isfinite(value)
+            ok = type(value) is int or type(value) is float and math.isfinite(value)
         if not ok:
-            raise ValueError(f"{path}: field '{key}' has the wrong type: {value!r}")
+            raise SpecError(f"{path}: field '{key}' has the wrong type: {value!r}")
     return SyntheticProgramSpec(**kwargs)
 
 
@@ -190,23 +174,18 @@ def _scheduler_config(args) -> SchedulerConfig:
     return replace(cfg, **overrides) if overrides else cfg
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> None:
     if (args.spec is None) == (args.graph is None):
-        _err("exactly one of --spec or --graph is required")
-        return EXIT_INPUT
+        raise InputError("exactly one of --spec or --graph is required")
     schedulers = args.compare.split(",") if args.compare else [args.scheduler]
     if any(s not in SCHEDULERS for s in schedulers):
-        _err(f"unknown scheduler in {schedulers}; expected one of {list(SCHEDULERS)}")
-        return EXIT_INPUT
-
-    try:
-        if args.graph is not None:
-            graph = _load_graph(args.graph)
-        else:
-            graph = generate_program(_spec_from_file(args.spec))
-    except (FileNotFoundError, GraphError, ValueError) as exc:
-        _err(str(exc))
-        return EXIT_INPUT
+        raise InputError(
+            f"unknown scheduler in {schedulers}; expected one of {list(SCHEDULERS)}"
+        )
+    if args.graph is not None:
+        graph = load_program(args.graph)
+    else:
+        graph = generate_program(_spec_from_file(args.spec))
 
     seed_base = args.seed_base
     env_seed = os.environ.get(SEED_ENV)
@@ -214,16 +193,15 @@ def cmd_simulate(args) -> int:
         try:
             seed_base = int(env_seed)
         except ValueError:
-            _err(f"{SEED_ENV} must be an integer, got {env_seed!r}")
-            return EXIT_INPUT
+            raise InputError(
+                f"{SEED_ENV} must be an integer, got {env_seed!r}"
+            ) from None
 
     # Every campaign is configured, and so validated, before anything is written.
     if args.seeds < 1:
-        _err("--seeds must be at least 1")
-        return EXIT_INPUT
+        raise InputError("--seeds must be at least 1")
     if args.compare and len(schedulers) * args.seeds < 2:
-        _err("--compare needs at least two campaigns")
-        return EXIT_INPUT
+        raise InputError("--compare needs at least two campaigns")
     try:
         sched_cfg = _scheduler_config(args)
         configs = [
@@ -238,86 +216,44 @@ def cmd_simulate(args) -> int:
             for k in range(args.seeds)
         ]
     except ValueError as exc:
-        _err(str(exc))
-        return EXIT_INPUT
+        raise InputError(exc.args[0]) from None
 
     out_dir = Path(args.out)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        _err(f"cannot create {out_dir}: {exc}")
-        return EXIT_OUTPUT
-
+    out_dir.mkdir(parents=True, exist_ok=True)
     results = []
-    try:
-        for config in configs:
-            result = run_campaign(graph, config)
-            results.append(result)
-            path = out_dir / f"result_{config.scheduler}_{config.rng_seed}.json"
-            path.write_bytes(result.to_json_bytes())
-    except OSError as exc:
-        _err(f"cannot write results: {exc}")
-        return EXIT_OUTPUT
+    for config in configs:
+        result = run_campaign(graph, config)
+        results.append(result)
+        path = out_dir / f"result_{config.scheduler}_{config.rng_seed}.json"
+        path.write_bytes(result.to_json_bytes())
 
     if args.compare:
         report = compare_campaigns(results)
-        try:
-            with open(out_dir / "comparison.csv", "w", encoding="utf-8", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerows(report.csv_rows())
-        except OSError as exc:
-            _err(f"cannot write comparison: {exc}")
-            return EXIT_OUTPUT
+        _write_csv(out_dir / "comparison.csv", report.csv_rows())
         print(report.text_table())
-    return EXIT_OK
 
 
-def _load_results(paths) -> list[CampaignResult]:
-    results = []
-    for p in paths:
-        if not os.path.exists(p):
-            raise FileNotFoundError(f"no such file: {p}")
-        try:
-            results.append(CampaignResult.from_json_bytes(Path(p).read_bytes()))
-        except ValueError as exc:
-            raise ValueError(f"{p}: {exc}") from None
-    return results
-
-
-def cmd_report(args) -> int:
+def _load_result(path: str) -> CampaignResult:
+    raw = read_bytes(path)
     try:
-        results = _load_results(args.results)
-    except (OSError, ValueError) as exc:
-        _err(str(exc))
-        return EXIT_INPUT
+        return CampaignResult.from_json_bytes(raw)
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
 
-    rows: list[list] = []
+
+def cmd_report(args) -> None:
+    results = [_load_result(p) for p in args.results]
+    if args.kind != "growth" and len(results) != 1:
+        raise InputError(f"{args.kind} report takes exactly one result file")
     if args.kind == "energy":
-        if len(results) != 1:
-            _err("energy report takes exactly one result file")
-            return EXIT_INPUT
-        rows.append(["rank", "hits"])
-        rows.extend(list(r) for r in energy_series(results[0].target_hits))
+        rows = [["rank", "hits"], *energy_series(results[0].target_hits)]
     elif args.kind == "phases":
-        if len(results) != 1:
-            _err("phases report takes exactly one result file")
-            return EXIT_INPUT
-        rows.append(["time", "phase"])
-        rows.extend(_phase_bands(results[0]))
+        rows = [["time", "phase"], *_phase_bands(results[0])]
     else:  # growth
-        rows.append(["scheduler", "seed", "time", "cov", "reach", "trig"])
+        rows = [["scheduler", "seed", "time", "cov", "reach", "trig"]]
         for r in sorted(results, key=lambda r: (r.scheduler, r.rng_seed)):
-            for t, cov, reach, trig in r.series:
-                rows.append([r.scheduler, r.rng_seed, t, cov, reach, trig])
-
-    try:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerows(rows)
-    except OSError as exc:
-        _err(f"cannot write {args.out}: {exc}")
-        return EXIT_OUTPUT
-    return EXIT_OK
+            rows.extend([r.scheduler, r.rng_seed, *point] for point in r.series)
+    _write_csv(args.out, rows)
 
 
 def _phase_bands(result: CampaignResult) -> list[list]:
@@ -402,7 +338,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        args.func(args)
+    except InputError as exc:
+        _err(str(exc))
+        return EXIT_INPUT
+    except OSError as exc:
+        # Inputs are read only through graph.read_bytes, which turns every
+        # OSError into an InputError; what is left is an output we could not
+        # write.
+        _err(f"cannot write output: {exc}")
+        return EXIT_OUTPUT
+    return EXIT_OK
 
 
 if __name__ == "__main__":

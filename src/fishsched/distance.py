@@ -11,18 +11,19 @@ unreachable value raises instead of silently propagating.
 from __future__ import annotations
 
 import gc
-import json
 import math
 from dataclasses import dataclass
 from itertools import chain
 from typing import Optional
 
 from .graph import (
+    InputError,
     ProgramGraph,
     Target,
     bfs_hops,
     canonical_json,
     graph_hash,
+    read_json,
     shortest_paths,
 )
 
@@ -31,7 +32,7 @@ from .graph import (
 HARMONIC_ZERO_EPSILON = 0.5
 
 
-class DistanceMapError(Exception):
+class DistanceMapError(InputError):
     """Corrupt distance-map file or graph/map mismatch."""
 
 
@@ -128,10 +129,10 @@ def save_distance_map(dmap: StaticDistanceMap, path: str) -> None:
 def load_distance_map(path: str, graph: ProgramGraph) -> StaticDistanceMap:
     """Load a saved map, rejecting anything save_distance_map cannot write.
 
-    Raises DistanceMapError on corrupt JSON, a missing field, a map built
-    from another graph, a row that is not three integers, a negative
-    distance, an unknown function id, two rows for one pair, or a weight
-    for a non-call edge.
+    Raises DistanceMapError on an unreadable file, corrupt JSON, a missing
+    field, a map built from another graph, a row that is not three
+    integers, a negative distance, an unknown function id, two rows for one
+    pair, or a weight for a non-call edge.
     """
 
     # The parse allocates millions of containers that all survive; pausing
@@ -149,15 +150,10 @@ def _load_distance_map(path: str, graph: ProgramGraph) -> StaticDistanceMap:
     def not_an_integer(text):
         raise DistanceMapError(f"{path}: number {text} is not an integer")
 
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(
-                fh, parse_float=not_an_integer, parse_constant=not_an_integer
-            )
-        except json.JSONDecodeError as exc:
-            raise DistanceMapError(f"{path}: corrupt file: {exc.msg}") from None
-        except UnicodeDecodeError:
-            raise DistanceMapError(f"{path}: corrupt file: not UTF-8 text") from None
+    data = read_json(
+        path, DistanceMapError, f"{path}: corrupt file",
+        parse_float=not_an_integer, parse_constant=not_an_integer,
+    )
     if not isinstance(data, dict):
         raise DistanceMapError(f"{path}: corrupt file: expected a JSON object")
     for key in ("built_from", "weights", "dff"):

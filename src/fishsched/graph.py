@@ -22,7 +22,11 @@ from typing import Optional
 ENTRY_FUNCTION = 0
 
 
-class GraphError(Exception):
+class InputError(ValueError):
+    """Bad input from outside the program: a file, a flag or a variable."""
+
+
+class GraphError(InputError):
     """Base class for graph file problems."""
 
 
@@ -411,14 +415,57 @@ def load_program(path: str) -> ProgramGraph:
     Raises ParseError with field diagnostics on malformed input and
     ValidationError naming the violated invariant on inconsistent input.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}") from None
-        except UnicodeDecodeError:
-            raise ParseError(f"{path}: not UTF-8 text") from None
-    return graph_from_dict(data)
+    return graph_from_dict(read_json(path, ParseError))
+
+
+# ---------------------------------------------------------------------------
+# Input files: every one is read and decoded here
+# ---------------------------------------------------------------------------
+
+
+def read_bytes(path: str, error=InputError) -> bytes:
+    """The contents of an input file; any failure to read it raises error."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except FileNotFoundError:
+        raise error(f"no such file: {path}") from None
+    except OSError as exc:
+        raise error(f"cannot read {path}: {exc.strerror}") from None
+
+
+def decode_text(raw: bytes, error, where: str) -> str:
+    """raw as UTF-8 text; error, prefixed with where, if it is not."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError:
+        raise error(f"{where}: not UTF-8 text") from None
+
+
+def parse_json(text: str, error, where: str, **hooks):
+    """JSON text as Python values; error, prefixed with where, if it is not.
+
+    hooks go to json.loads (parse_float, parse_constant).
+    """
+    try:
+        return json.loads(text, **hooks)
+    except InputError:
+        raise  # from a hook
+    except json.JSONDecodeError as exc:
+        raise error(f"{where}: line {exc.lineno}: {exc.msg}") from None
+    except (RecursionError, ValueError) as exc:  # too deep; an integer too long
+        raise error(f"{where}: {exc}") from None
+
+
+def read_json(path: str, error, where=None, **hooks):
+    """The UTF-8 JSON file at path; where defaults to the path.
+
+    The bytes are dropped once decoded, so a large distance map is never
+    held twice while it is parsed.
+    """
+    where = where or path
+    text = decode_text(read_bytes(path, error), error, where)
+    return parse_json(text, error, where, **hooks)
 
 
 def canonical_json(data) -> bytes:

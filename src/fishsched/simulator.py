@@ -9,7 +9,6 @@ way it would be at runtime.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field, fields, replace
 
@@ -17,11 +16,14 @@ from .distance import build_distance_map, harmonic_distance
 from .execution import ExecutionTrace, Seed, dsf
 from .graph import (
     ENTRY_FUNCTION,
+    InputError,
     ProgramGraph,
     bfs_hops,
     canonical_json,
+    decode_text,
     graph_from_dict,
     graph_hash,
+    parse_json,
 )
 # Not called here; perfbench/spans.py rebinds order_by_hits and reached_untriggered.
 from .ranking import TargetRanking, order_by_hits, reached_untriggered  # noqa: F401
@@ -49,8 +51,8 @@ INITIAL_SEED_SIZE = 64
 SIZE_JITTER = (0.9, 1.1)
 
 
-class SpecError(ValueError):
-    """Infeasible synthetic-program specification."""
+class SpecError(InputError):
+    """Malformed or infeasible synthetic-program specification."""
 
 
 @dataclass(frozen=True)
@@ -381,23 +383,19 @@ class CampaignResult:
 
     @classmethod
     def from_json_bytes(cls, raw: bytes) -> "CampaignResult":
-        """Parse a result file; ValueError names the first bad or missing field."""
-        try:
-            data = json.loads(raw.decode("utf-8"))
-        except UnicodeDecodeError:
-            raise ValueError("not a campaign result: not UTF-8 text") from None
-        except (ValueError, RecursionError) as exc:
-            raise ValueError(f"not a campaign result: {exc}") from None
+        """Parse a result file; InputError names the first bad or missing field."""
+        where = "not a campaign result"
+        data = parse_json(decode_text(raw, InputError, where), InputError, where)
         if not isinstance(data, dict):
-            raise ValueError("not a campaign result: expected a JSON object")
+            raise InputError("not a campaign result: expected a JSON object")
         unknown = sorted(set(data) - {f.name for f in fields(cls)})
         if unknown:
-            raise ValueError(f"not a campaign result: unknown field(s) {unknown}")
+            raise InputError(f"not a campaign result: unknown field(s) {unknown}")
         for f in fields(cls):
             if f.name not in data:
-                raise ValueError(f"missing key {f.name!r}")
+                raise InputError(f"missing key {f.name!r}")
             if not f.metadata["check"](data[f.name]):
-                raise ValueError(
+                raise InputError(
                     f"not a campaign result: field {f.name!r} has the wrong type"
                     " or shape"
                 )

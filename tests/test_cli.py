@@ -366,10 +366,45 @@ def _map_with_short_weight_row(tmp_path, graph_file):
     return _write(map_path, data)
 
 
+def _map_of(tmp_path, graph_file):
+    map_path = tmp_path / "g.map"
+    assert main(["analyze", "--graph", graph_file, "--out", str(map_path)]) == 0
+    return str(map_path)
+
+
+def _file(tmp_path, name, content):
+    """A file holding content (text or bytes); a directory when content is None."""
+    path = tmp_path / name
+    if content is None:
+        path.mkdir()
+    elif isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
+    return str(path)
+
+
+def _distance(tmp, g, *query, map_file=None):
+    return ["distance", "--graph", g, "--map", map_file or _map_of(tmp, g), *query]
+
+
+def _trace(tmp, functions="0", reached=""):
+    return _file(tmp, "s.trace", f"1; 50; 8; functions={functions}; reached={reached}; "
+                                 "triggered=\n")
+
+
+DEEP = "[" * 100_000
+LONG_INT = "1" * 5000
+
+
 BAD_INPUTS = {
     "spec unknown key": (
         lambda tmp, g: _spec(tmp, colour=1),
         "unknown field(s) ['colour']",
+    ),
+    "spec without n_functions": (
+        lambda tmp, g: ["simulate", "--spec", _write(tmp / "s.spec", {"rng_seed": 1})],
+        "s.spec: missing field 'n_functions'",
     ),
     "spec field of the wrong type": (
         lambda tmp, g: _spec(tmp, n_functions=2.5),
@@ -418,6 +453,90 @@ BAD_INPUTS = {
         lambda tmp, g: ["distance", "--graph", g, "--dff", "0", "1",
                         "--map", _map_with_short_weight_row(tmp, g)],
         "is not three integers",
+    ),
+    # A path that exists but cannot be read.
+    "graph is a directory": (
+        lambda tmp, g: ["analyze", "--graph", _file(tmp, "d", None),
+                        "--out", str(tmp / "out")],
+        "d: Is a directory",
+    ),
+    "spec is a directory": (
+        lambda tmp, g: ["simulate", "--spec", _file(tmp, "d", None)],
+        "d: Is a directory",
+    ),
+    "map is a directory": (
+        lambda tmp, g: _distance(tmp, g, "--dff", "0", "1",
+                                 map_file=_file(tmp, "d", None)),
+        "d: Is a directory",
+    ),
+    "trace is a directory": (
+        lambda tmp, g: _distance(tmp, g, "--dsf", _file(tmp, "d", None), "1"),
+        "d: Is a directory",
+    ),
+    "result is a directory": (
+        lambda tmp, g: ["report", "--kind", "growth", "--out", str(tmp / "out"),
+                        _file(tmp, "d", None)],
+        "cannot read",
+    ),
+    # JSON nested past the parser's recursion limit, or an over-long integer.
+    "graph nested too deeply": (
+        lambda tmp, g: ["analyze", "--graph", _file(tmp, "deep", DEEP),
+                        "--out", str(tmp / "out")],
+        "deep: maximum recursion depth exceeded",
+    ),
+    "spec nested too deeply": (
+        lambda tmp, g: ["simulate", "--spec", _file(tmp, "deep", DEEP)],
+        "deep: maximum recursion depth exceeded",
+    ),
+    "map nested too deeply": (
+        lambda tmp, g: _distance(tmp, g, "--dff", "0", "1",
+                                 map_file=_file(tmp, "deep", DEEP)),
+        "deep: corrupt file: maximum recursion depth exceeded",
+    ),
+    "graph integer too long": (
+        lambda tmp, g: ["analyze", "--graph", _file(tmp, "long", LONG_INT),
+                        "--out", str(tmp / "out")],
+        "long: Exceeds the limit",
+    ),
+    "map integer too long": (
+        lambda tmp, g: _distance(tmp, g, "--dff", "0", "1",
+                                 map_file=_file(tmp, "long", LONG_INT)),
+        "long: corrupt file: Exceeds the limit",
+    ),
+    "spec probability too large for a float": (
+        lambda tmp, g: _spec(tmp, branch_probability=10**400),
+        "branch_probability must be in [0, 1]",
+    ),
+    # Not UTF-8: the message names the file.
+    "spec not UTF-8": (
+        lambda tmp, g: ["simulate", "--spec", _file(tmp, "s.spec", b"\xff\xfe{")],
+        "s.spec: not UTF-8 text",
+    ),
+    "trace not UTF-8": (
+        lambda tmp, g: _distance(tmp, g, "--harmonic", _file(tmp, "s.trace", b"\xff;")),
+        "s.trace: not UTF-8 text",
+    ),
+    # An id the graph lacks is an error, not a distance of inf.
+    "dsf to an unknown function": (
+        lambda tmp, g: _distance(tmp, g, "--dsf", _trace(tmp), "99999"),
+        "fishsched: unknown function id 99999",
+    ),
+    "dsf from a trace naming an unknown function": (
+        lambda tmp, g: _distance(tmp, g, "--dsf", _trace(tmp, functions="0,99999"),
+                                 "1"),
+        "fishsched: unknown function id 99999",
+    ),
+    "harmonic of a trace naming an unknown function": (
+        lambda tmp, g: _distance(tmp, g, "--harmonic", _trace(tmp, functions="99999")),
+        "fishsched: unknown function id 99999",
+    ),
+    "multi with an unknown target": (
+        lambda tmp, g: _distance(tmp, g, "--multi", _trace(tmp), "77777"),
+        "fishsched: unknown target id 77777\n",
+    ),
+    "harmonic of a trace reaching an unknown target": (
+        lambda tmp, g: _distance(tmp, g, "--harmonic", _trace(tmp, reached="77777")),
+        "fishsched: unknown target id 77777\n",
     ),
 }
 

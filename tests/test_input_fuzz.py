@@ -1,0 +1,160 @@
+"""Every input loader either loads a file or raises InputError, whatever the bytes.
+
+Each loader is fed arbitrary bytes, its valid file with a slice replaced, and,
+for the JSON formats, its valid file with values dropped or replaced. When the
+loader rejects a file, the CLI command that reads it must exit 2 with one
+``fishsched:`` line on stderr and write nothing.
+"""
+
+import contextlib
+import copy
+import io
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fishsched.cli import _read_trace, _spec_from_file, main
+from fishsched.distance import build_distance_map, load_distance_map, save_distance_map
+from fishsched.graph import InputError, graph_to_dict, load_program, save_program
+from fishsched.simulator import SyntheticProgramSpec, generate_program
+
+GRAPH = generate_program(
+    SyntheticProgramSpec(n_functions=4, targets_per_function=(1, 2), rng_seed=2)
+)
+SPEC = {"n_functions": 5, "rng_seed": 4, "blocks_per_function": [2, 3],
+        "call_density": 1.5}
+TRACE = "1; 50; 8; functions=0,1; reached=0; triggered=\n"
+
+
+@pytest.fixture(scope="module")
+def world(tmp_path_factory):
+    """The graph and map files every command reads besides the fuzzed one."""
+    tmp = tmp_path_factory.mktemp("world")
+    graph, dmap = str(tmp / "w.graph"), str(tmp / "w.map")
+    save_program(GRAPH, graph)
+    save_distance_map(build_distance_map(GRAPH), dmap)
+    return graph, dmap
+
+
+def _saved_map():
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m"
+        save_distance_map(build_distance_map(GRAPH), str(path))
+        return json.loads(path.read_text())
+
+
+# kind -> (valid file as JSON data or text, loader, CLI argv reading the file)
+LOADERS = {
+    "graph": (
+        graph_to_dict(GRAPH),
+        load_program,
+        lambda path, out, world: ["analyze", "--graph", path, "--out", out],
+    ),
+    "map": (
+        _saved_map(),
+        lambda path: load_distance_map(path, GRAPH),
+        lambda path, out, world: ["distance", "--graph", world[0], "--map", path,
+                                  "--dff", "0", "1"],
+    ),
+    "spec": (
+        SPEC,
+        _spec_from_file,
+        lambda path, out, world: ["simulate", "--spec", path, "--duration", "1",
+                                  "--out", out],
+    ),
+    "trace": (
+        TRACE,
+        _read_trace,
+        lambda path, out, world: ["distance", "--graph", world[0], "--map", world[1],
+                                  "--harmonic", path],
+    ),
+}
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 30) | st.integers()
+    | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _mutate(draw, value):
+    """value with one nested value dropped or replaced by any JSON value."""
+    if isinstance(value, (list, dict)) and value and draw(st.integers(0, 3)):
+        key = draw(st.sampled_from(
+            range(len(value)) if isinstance(value, list) else sorted(value)
+        ))
+        if draw(st.integers(0, 4)) == 0:
+            del value[key]
+        else:
+            value[key] = _mutate(draw, value[key])
+        return value
+    return draw(json_values)
+
+
+@st.composite
+def mutated_json(draw, valid):
+    data = copy.deepcopy(valid)
+    for _ in range(draw(st.integers(1, 3))):
+        data = _mutate(draw, data)
+    return json.dumps(data).encode("utf-8")
+
+
+@st.composite
+def spliced(draw, valid: bytes):
+    """valid with one slice replaced by a few arbitrary bytes or characters."""
+    i = draw(st.integers(0, len(valid)))
+    j = draw(st.integers(i, len(valid)))
+    fill = st.binary(max_size=6) | st.text(max_size=6).map(str.encode)
+    return valid[:i] + draw(fill) + valid[j:]
+
+
+def inputs(kind):
+    valid = LOADERS[kind][0]
+    if isinstance(valid, str):
+        return st.binary(max_size=64) | spliced(valid.encode("utf-8"))
+    raw = json.dumps(valid).encode("utf-8")
+    return st.binary(max_size=64) | spliced(raw) | mutated_json(valid)
+
+
+def _run_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("kind", list(LOADERS))
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_any_input_loads_or_is_one_diagnostic_line(world, kind, data):
+    raw = data.draw(inputs(kind))
+    _valid, load, argv = LOADERS[kind]
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = str(Path(tmp) / "input"), Path(tmp) / "out"
+        Path(path).write_bytes(raw)
+        try:
+            load(path)
+        except InputError:
+            pass
+        else:
+            return
+        code, stdout, stderr = _run_cli(argv(path, str(out), world))
+        assert code == 2
+        assert stdout == ""
+        assert stderr.startswith("fishsched: ") and stderr.count("\n") == 1
+        assert not out.exists()
+
+
+def test_valid_inputs_load(world):
+    """The files the mutations start from are themselves valid."""
+    for kind, (valid, load, _argv) in LOADERS.items():
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "input"
+            path.write_text(valid if isinstance(valid, str) else json.dumps(valid))
+            load(str(path))
