@@ -274,8 +274,17 @@ def _phase_bands(result: CampaignResult) -> list[list]:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """A flag argparse rejects is one fishsched: line and exit 2, like any
+    other bad input. Subparsers are made of the same class."""
+
+    def error(self, message):
+        _err(message)
+        sys.exit(EXIT_INPUT)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fishsched",
         description="Directed fuzzing scheduler analysis and campaign simulation.",
     )

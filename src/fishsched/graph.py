@@ -167,30 +167,34 @@ def _successors(functions: tuple[Function, ...], pairs) -> MappingProxyType:
     return MappingProxyType({u: tuple(vs) for u, vs in adj.items()})
 
 
-def _derive_call_edges(functions: tuple[Function, ...]) -> frozenset:
-    edges = set()
-    for f in functions:
-        for b in f.blocks:
-            for callee in b.calls:
-                edges.add((f.id, callee))
-    return frozenset(edges)
-
-
 # ---------------------------------------------------------------------------
 # File format (strict JSON; unknown fields rejected to catch typos)
 # ---------------------------------------------------------------------------
 
-_TOP_KEYS = {"functions", "indirect_edges"}
-_FN_KEYS = {"id", "name", "entry", "blocks", "targets"}
-_BLOCK_KEYS = {"id", "succ", "calls"}
-_TARGET_KEYS = {"id", "block"}
-_IEDGE_KEYS = {"from_fn", "from_block", "to_fn"}
+_IEDGE_KEYS = ("from_fn", "from_block", "to_fn")
 
 
-def _check_keys(obj: dict, allowed: set, where: str) -> None:
-    unknown = set(obj) - allowed
+def _fields(obj, where: str, required: tuple, optional: tuple = ()) -> None:
+    """Check that obj is an object with every required field and no others."""
+    if not isinstance(obj, dict):
+        raise ParseError(f"{where}: expected object")
+    unknown = obj.keys() - {*required, *optional}
     if unknown:
         raise ParseError(f"{where}: unknown field(s) {sorted(unknown)}")
+    for key in required:
+        if key not in obj:
+            raise ParseError(f"{where}: missing field '{key}'")
+
+
+def _is_id(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _id(obj: dict, key: str, where: str) -> int:
+    value = obj[key]
+    if not _is_id(value):
+        raise ParseError(f"{where}.{key}: expected non-negative integer, got {value!r}")
+    return value
 
 
 def _list_field(obj: dict, key: str, where: str) -> list:
@@ -200,185 +204,131 @@ def _list_field(obj: dict, key: str, where: str) -> list:
     return value
 
 
-def _nonneg_int(value, where: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        raise ParseError(f"{where}: expected non-negative integer, got {value!r}")
-    return value
+def _ids(obj: dict, key: str, where: str) -> tuple[int, ...]:
+    """A list field of ids, checked in one pass; only a bad item's location
+    is formatted."""
+    values = _list_field(obj, key, where)
+    for k, value in enumerate(values):
+        if not _is_id(value):
+            raise ParseError(
+                f"{where}.{key}[{k}]: expected non-negative integer, got {value!r}"
+            )
+    return tuple(values)
 
 
-def _parse_function(obj, index: int) -> Function:
-    where = f"functions[{index}]"
-    if not isinstance(obj, dict):
-        raise ParseError(f"{where}: expected object")
-    _check_keys(obj, _FN_KEYS, where)
-    for key in ("id", "name", "entry", "blocks"):
-        if key not in obj:
-            raise ParseError(f"{where}: missing field '{key}'")
-    fid = _nonneg_int(obj["id"], f"{where}.id")
+def _function(obj: dict, where: str, remap: dict, call_edges: set,
+              target_owner: dict) -> Function:
+    """One function object, built once with dense ids and checked as it is built.
+
+    call_edges gains the function's direct (dense) call pairs; target_owner
+    maps every target id seen so far to its function's file id.
+    """
+    fid = obj["id"]
+    dense = remap[fid]
     name = obj["name"]
     if not isinstance(name, str):
         raise ParseError(f"{where}.name: expected string")
-    entry = _nonneg_int(obj["entry"], f"{where}.entry")
+    entry = _id(obj, "entry", where)
 
     blocks = []
     for j, bobj in enumerate(_list_field(obj, "blocks", where)):
         bwhere = f"{where}.blocks[{j}]"
-        if not isinstance(bobj, dict):
-            raise ParseError(f"{bwhere}: expected object")
-        _check_keys(bobj, _BLOCK_KEYS, bwhere)
-        if "id" not in bobj:
-            raise ParseError(f"{bwhere}: missing field 'id'")
-        bid = _nonneg_int(bobj["id"], f"{bwhere}.id")
-        succ = tuple(
-            _nonneg_int(s, f"{bwhere}.succ[{k}]")
-            for k, s in enumerate(_list_field(bobj, "succ", bwhere))
-        )
-        calls = tuple(
-            _nonneg_int(c, f"{bwhere}.calls[{k}]")
-            for k, c in enumerate(_list_field(bobj, "calls", bwhere))
-        )
-        blocks.append(BasicBlock(id=bid, successors=succ, calls=calls))
+        _fields(bobj, bwhere, ("id",), ("succ", "calls"))
+        bid = _id(bobj, "id", bwhere)
+        succ = _ids(bobj, "succ", bwhere)
+        calls = []
+        for callee in _ids(bobj, "calls", bwhere):
+            if callee not in remap:
+                raise ValidationError(
+                    f"function {fid}: block {bid} calls unknown function {callee}"
+                )
+            calls.append(remap[callee])
+        call_edges.update((dense, c) for c in calls)
+        blocks.append(BasicBlock(id=bid, successors=succ, calls=tuple(calls)))
+
+    bids = {b.id for b in blocks}
+    if len(bids) != len(blocks):
+        raise ValidationError(f"function {fid}: duplicate block ids")
+    if entry not in bids:
+        raise ValidationError(f"function {fid}: entry block {entry} not found")
+    for b in blocks:
+        if not bids.issuperset(b.successors):
+            s = next(s for s in b.successors if s not in bids)
+            raise ValidationError(
+                f"function {fid}: block {b.id} successor {s} "
+                "is not a block of the same function"
+            )
 
     targets = []
     for j, tobj in enumerate(_list_field(obj, "targets", where)):
         twhere = f"{where}.targets[{j}]"
-        if not isinstance(tobj, dict):
-            raise ParseError(f"{twhere}: expected object")
-        _check_keys(tobj, _TARGET_KEYS, twhere)
-        for key in ("id", "block"):
-            if key not in tobj:
-                raise ParseError(f"{twhere}: missing field '{key}'")
-        targets.append(
-            Target(
-                id=_nonneg_int(tobj["id"], f"{twhere}.id"),
-                function=fid,
-                block=_nonneg_int(tobj["block"], f"{twhere}.block"),
+        _fields(tobj, twhere, ("id", "block"))
+        tid, block = _id(tobj, "id", twhere), _id(tobj, "block", twhere)
+        if tid in target_owner:
+            raise ValidationError(
+                f"duplicate target id {tid} (functions {target_owner[tid]} and {fid})"
             )
-        )
+        target_owner[tid] = fid
+        if block not in bids:
+            raise ValidationError(
+                f"target {tid}: target/block function mismatch "
+                f"(block {block} is not in function {fid})"
+            )
+        targets.append(Target(id=tid, function=dense, block=block))
 
     return Function(
-        id=fid, name=name, entry=entry, blocks=tuple(blocks), targets=tuple(targets)
+        id=dense, name=name, entry=entry, blocks=tuple(blocks), targets=tuple(targets)
     )
 
 
-def _validate(functions: list[Function], indirect: list[IndirectEdge]) -> None:
-    by_id = {f.id: f for f in functions}
-    if len(by_id) != len(functions):
+def graph_from_dict(data) -> ProgramGraph:
+    """The graph a file's data describes, checked and built in one pass.
+
+    Function ids are remapped onto 0..N-1 in ascending file-id order;
+    diagnostics name ids as the file gives them.
+    """
+    _fields(data, "top level", (), ("functions", "indirect_edges"))
+    fobjs = data.get("functions")
+    if not isinstance(fobjs, list):
+        raise ParseError("top level: missing or non-list 'functions'")
+    file_ids = []
+    for i, obj in enumerate(fobjs):
+        where = f"functions[{i}]"
+        _fields(obj, where, ("id", "name", "entry", "blocks"), ("targets",))
+        file_ids.append(_id(obj, "id", where))
+    remap = {old: new for new, old in enumerate(sorted(set(file_ids)))}
+    if len(remap) != len(file_ids):
         raise ValidationError("duplicate function ids")
 
-    seen_targets: dict[int, int] = {}
-    for f in functions:
-        bids = [b.id for b in f.blocks]
-        if len(set(bids)) != len(bids):
-            raise ValidationError(f"function {f.id}: duplicate block ids")
-        if not f.has_block(f.entry):
-            raise ValidationError(f"function {f.id}: entry block {f.entry} not found")
-        for b in f.blocks:
-            for s in b.successors:
-                if not f.has_block(s):
-                    raise ValidationError(
-                        f"function {f.id}: block {b.id} successor {s} "
-                        "is not a block of the same function"
-                    )
-            for callee in b.calls:
-                if callee not in by_id:
-                    raise ValidationError(
-                        f"function {f.id}: block {b.id} calls unknown function {callee}"
-                    )
-        for t in f.targets:
-            if t.id in seen_targets:
-                raise ValidationError(
-                    f"duplicate target id {t.id} "
-                    f"(functions {seen_targets[t.id]} and {f.id})"
-                )
-            seen_targets[t.id] = f.id
-            if not f.has_block(t.block):
-                raise ValidationError(
-                    f"target {t.id}: target/block function mismatch "
-                    f"(block {t.block} is not in function {f.id})"
-                )
-
-    direct = _derive_call_edges(tuple(functions))
-    for e in indirect:
-        fn = by_id.get(e.from_fn)
-        if fn is None or e.to_fn not in by_id:
-            raise ValidationError(
-                f"indirect edge {e.from_fn}->{e.to_fn} references unknown function"
-            )
-        if not fn.has_block(e.from_block):
-            raise ValidationError(
-                f"indirect edge from function {e.from_fn}: "
-                f"block {e.from_block} not found"
-            )
-        if (e.from_fn, e.to_fn) in direct:
-            raise ValidationError(
-                f"indirect edge {e.from_fn}->{e.to_fn} duplicates a direct call edge"
-            )
-
-
-def _densify(
-    functions: list[Function], indirect: list[IndirectEdge]
-) -> tuple[list[Function], list[IndirectEdge]]:
-    """Remap function ids onto 0..N-1 preserving the original id order."""
-    remap = {old: new for new, old in enumerate(sorted(f.id for f in functions))}
-    out = []
-    for f in sorted(functions, key=lambda f: f.id):
-        out.append(
-            Function(
-                id=remap[f.id],
-                name=f.name,
-                entry=f.entry,
-                blocks=tuple(
-                    BasicBlock(
-                        id=b.id,
-                        successors=b.successors,
-                        calls=tuple(remap[c] for c in b.calls),
-                    )
-                    for b in f.blocks
-                ),
-                targets=tuple(
-                    Target(id=t.id, function=remap[f.id], block=t.block)
-                    for t in f.targets
-                ),
-            )
-        )
-    iedges = [
-        IndirectEdge(remap[e.from_fn], e.from_block, remap[e.to_fn]) for e in indirect
-    ]
-    return out, iedges
-
-
-def graph_from_dict(data) -> ProgramGraph:
-    if not isinstance(data, dict):
-        raise ParseError("top level: expected object")
-    _check_keys(data, _TOP_KEYS, "top level")
-    if "functions" not in data or not isinstance(data["functions"], list):
-        raise ParseError("top level: missing or non-list 'functions'")
-
-    functions = [_parse_function(o, i) for i, o in enumerate(data["functions"])]
+    functions: list = [None] * len(remap)
+    call_edges: set = set()
+    target_owner: dict = {}
+    for i, obj in enumerate(fobjs):
+        fn = _function(obj, f"functions[{i}]", remap, call_edges, target_owner)
+        functions[fn.id] = fn
 
     indirect = []
     for i, eobj in enumerate(_list_field(data, "indirect_edges", "top level")):
         where = f"indirect_edges[{i}]"
-        if not isinstance(eobj, dict):
-            raise ParseError(f"{where}: expected object")
-        _check_keys(eobj, _IEDGE_KEYS, where)
-        for key in _IEDGE_KEYS:
-            if key not in eobj:
-                raise ParseError(f"{where}: missing field '{key}'")
-        indirect.append(
-            IndirectEdge(
-                from_fn=_nonneg_int(eobj["from_fn"], f"{where}.from_fn"),
-                from_block=_nonneg_int(eobj["from_block"], f"{where}.from_block"),
-                to_fn=_nonneg_int(eobj["to_fn"], f"{where}.to_fn"),
+        _fields(eobj, where, _IEDGE_KEYS)
+        src, block, dst = (_id(eobj, key, where) for key in _IEDGE_KEYS)
+        if src not in remap or dst not in remap:
+            raise ValidationError(
+                f"indirect edge {src}->{dst} references unknown function"
             )
-        )
+        if not functions[remap[src]].has_block(block):
+            raise ValidationError(
+                f"indirect edge from function {src}: block {block} not found"
+            )
+        if (remap[src], remap[dst]) in call_edges:
+            raise ValidationError(
+                f"indirect edge {src}->{dst} duplicates a direct call edge"
+            )
+        indirect.append(IndirectEdge(remap[src], block, remap[dst]))
 
-    _validate(functions, indirect)
-    functions, indirect = _densify(functions, indirect)
     return ProgramGraph(
         functions=tuple(functions),
-        call_edges=_derive_call_edges(tuple(functions)),
+        call_edges=frozenset(call_edges),
         indirect_edges=tuple(indirect),
     )
 

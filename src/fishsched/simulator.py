@@ -51,6 +51,12 @@ INITIAL_SEED_SIZE = 64
 SIZE_JITTER = (0.9, 1.1)
 
 
+# Upper bounds on a spec, so that no spec that loads asks for unbounded work.
+MAX_FUNCTIONS = 100_000
+MAX_BLOCKS_PER_FUNCTION = 1_000
+MAX_TARGETS_PER_FUNCTION = 100
+
+
 class SpecError(InputError):
     """Malformed or infeasible synthetic-program specification."""
 
@@ -66,20 +72,31 @@ class SyntheticProgramSpec:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_functions < 1:
-            raise SpecError("n_functions must be at least 1")
+        n = self.n_functions
+        if not 1 <= n <= MAX_FUNCTIONS:
+            raise SpecError(f"n_functions must be in [1, {MAX_FUNCTIONS}]")
         lo, hi = self.blocks_per_function
-        if not 1 <= lo <= hi:
-            raise SpecError("blocks_per_function range must satisfy 1 <= lo <= hi")
+        if not 1 <= lo <= hi <= MAX_BLOCKS_PER_FUNCTION:
+            raise SpecError(
+                "blocks_per_function range must satisfy "
+                f"1 <= lo <= hi <= {MAX_BLOCKS_PER_FUNCTION}"
+            )
         tlo, thi = self.targets_per_function
-        if not 0 <= tlo <= thi:
-            raise SpecError("targets_per_function range must satisfy 0 <= lo <= hi")
+        if not 0 <= tlo <= thi <= MAX_TARGETS_PER_FUNCTION:
+            raise SpecError(
+                "targets_per_function range must satisfy "
+                f"0 <= lo <= hi <= {MAX_TARGETS_PER_FUNCTION}"
+            )
         for name in ("branch_probability", "indirect_edge_fraction"):
             v = getattr(self, name)
             if not 0 <= v <= 1:
                 raise SpecError(f"{name} must be in [0, 1]")
         if self.call_density < 0:
             raise SpecError("call_density must be non-negative")
+        # More than n - 1 calls per function would ask for more distinct
+        # caller/callee pairs than exist.
+        if n >= 2 and self.call_density > n - 1:
+            raise SpecError(f"call_density must be at most n_functions - 1 = {n - 1}")
 
 
 @dataclass(frozen=True)
@@ -238,14 +255,12 @@ def execute_mutation(
     # Keep only what execution can actually flow into from the entry.
     funcs = set(bfs_hops(successors, [ENTRY_FUNCTION], allowed=retained))
 
-    tested: set = set()
     work = sorted(funcs)
     while work:
         u = work.pop(0)
         for v in successors[u]:
-            if v in funcs or (u, v) in tested:
+            if v in funcs:
                 continue
-            tested.add((u, v))
             p = model.frontier_advance ** (1 + _difficulty(graph, u, v))
             if rng.random() < p:
                 funcs.add(v)

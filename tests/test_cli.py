@@ -538,6 +538,27 @@ BAD_INPUTS = {
         lambda tmp, g: _distance(tmp, g, "--harmonic", _trace(tmp, reached="77777")),
         "fishsched: unknown target id 77777\n",
     ),
+    # A spec that loads must not ask generate_program for unbounded work.
+    "spec asking for 1e300 calls per function": (
+        lambda tmp, g: _spec(tmp, n_functions=2, call_density=1e300),
+        "call_density must be at most n_functions - 1 = 1",
+    ),
+    "spec asking for more call pairs than exist": (
+        lambda tmp, g: _spec(tmp, call_density=4.5),
+        "call_density must be at most n_functions - 1 = 4",
+    ),
+    "spec with too many functions": (
+        lambda tmp, g: _spec(tmp, n_functions=100_001),
+        "n_functions must be in [1, 100000]",
+    ),
+    "spec with too many blocks per function": (
+        lambda tmp, g: _spec(tmp, blocks_per_function=[1, 1001]),
+        "1 <= lo <= hi <= 1000",
+    ),
+    "spec with too many targets per function": (
+        lambda tmp, g: _spec(tmp, targets_per_function=[0, 101]),
+        "0 <= lo <= hi <= 100",
+    ),
 }
 
 
@@ -555,6 +576,31 @@ def test_malformed_input_is_one_diagnostic_line(tmp_path, capsys, small_graph_fi
     assert stderr.startswith("fishsched: ") and stderr.count("\n") == 1
     assert expected in stderr
     assert not out_dir.exists()  # rejected before any output is made
+
+
+USAGE_ERRORS = {
+    "non-integer --dff": lambda tmp, g: _distance(tmp, g, "--dff", "a", "1"),
+    "non-integer --duration": lambda tmp, g: ["simulate", "--graph", g,
+                                              "--duration", "x", "--out", str(tmp)],
+    "non-integer --seeds": lambda tmp, g: ["simulate", "--graph", g,
+                                           "--seeds", "z", "--out", str(tmp)],
+    "unknown flag": lambda tmp, g: ["analyze", "--graph", g, "--out", str(tmp / "x"),
+                                    "--colour"],
+    "missing --out": lambda tmp, g: ["analyze", "--graph", g],
+    "no subcommand": lambda tmp, g: [],
+}
+
+
+@pytest.mark.parametrize("case", list(USAGE_ERRORS))
+def test_usage_error_is_one_diagnostic_line(tmp_path, capsys, small_graph_file, case):
+    argv = USAGE_ERRORS[case](tmp_path, small_graph_file)
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("fishsched: ") and captured.err.count("\n") == 1
 
 
 def _graph_with(tmp, field, value):

@@ -1,11 +1,17 @@
+import copy
+import itertools
 import json
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fishsched.graph import (
     ParseError,
     ValidationError,
+    canonical_bytes,
     dbb,
     graph_from_dict,
     graph_hash,
@@ -120,6 +126,80 @@ def test_densify_remaps_sparse_ids():
     assert g.call_edges == frozenset({(0, 1)})
     assert g.indirect_edges[0].from_fn == 1 and g.indirect_edges[0].to_fn == 0
     assert g.target(0).function == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32), data=st.data())
+def test_sparse_shuffled_ids_load_as_the_dense_graph(seed, data):
+    rng = random.Random(seed)
+    dense = random_graph_dict(rng, max_functions=12)
+    n = len(dense["functions"])
+    direct = {(f["id"], c) for f in dense["functions"]
+              for b in f["blocks"] for c in b["calls"]}
+    pairs = {(rng.randrange(n), rng.randrange(n)) for _ in range(n)}
+    dense["indirect_edges"] = [
+        {"from_fn": u, "from_block": 0, "to_fn": v}
+        for u, v in sorted(pairs - direct) if u != v
+    ]
+    gaps = data.draw(st.lists(st.integers(1, 1000), min_size=n, max_size=n))
+    file_id = list(itertools.accumulate(gaps))  # strictly increasing
+    sparse = copy.deepcopy(dense)
+    for f in sparse["functions"]:
+        f["id"] = file_id[f["id"]]
+        for b in f["blocks"]:
+            b["calls"] = [file_id[c] for c in b["calls"]]
+    for e in sparse["indirect_edges"]:
+        e["from_fn"], e["to_fn"] = file_id[e["from_fn"]], file_id[e["to_fn"]]
+    sparse["functions"] = data.draw(st.permutations(sparse["functions"]))
+    assert canonical_bytes(graph_from_dict(sparse)) == canonical_bytes(
+        graph_from_dict(dense)
+    )
+
+
+def _sparse_graph() -> dict:
+    """Functions 10 and 40 calling each other; 40 holds target 0."""
+    return {
+        "functions": [
+            {"id": 10, "name": "main", "entry": 0,
+             "blocks": [{"id": 0, "succ": [1]}, {"id": 1, "calls": [40]}],
+             "targets": []},
+            {"id": 40, "name": "leaf", "entry": 0,
+             "blocks": [{"id": 0, "succ": [], "calls": []}],
+             "targets": [{"id": 0, "block": 0}]},
+        ],
+        "indirect_edges": [{"from_fn": 40, "from_block": 0, "to_fn": 10}],
+    }
+
+
+# fault name -> (edit that puts the fault into _sparse_graph(), diagnostic)
+SPARSE_FAULTS = {
+    "foreign successor": (
+        lambda d: d["functions"][1]["blocks"][0]["succ"].append(1),
+        "function 40: block 0 successor 1 is not a block of the same function",
+    ),
+    "unknown callee": (
+        lambda d: d["functions"][0]["blocks"][1]["calls"].append(25),
+        "function 10: block 1 calls unknown function 25",
+    ),
+    "duplicate target": (
+        lambda d: d["functions"][0]["targets"].append({"id": 0, "block": 0}),
+        "duplicate target id 0 (functions 10 and 40)",
+    ),
+    "indirect edge from a missing block": (
+        lambda d: d["indirect_edges"][0].update(from_block=7),
+        "indirect edge from function 40: block 7 not found",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(SPARSE_FAULTS))
+def test_validation_error_names_the_file_ids(case):
+    edit, message = SPARSE_FAULTS[case]
+    data = _sparse_graph()
+    graph_from_dict(copy.deepcopy(data))  # valid before the edit
+    edit(data)
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        graph_from_dict(data)
 
 
 def test_parse_error_has_location():

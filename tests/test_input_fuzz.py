@@ -20,7 +20,13 @@ from hypothesis import strategies as st
 from fishsched.cli import _read_trace, _spec_from_file, main
 from fishsched.distance import build_distance_map, load_distance_map, save_distance_map
 from fishsched.graph import InputError, graph_to_dict, load_program, save_program
-from fishsched.simulator import SyntheticProgramSpec, generate_program
+from fishsched.simulator import (
+    CampaignConfig,
+    CampaignResult,
+    SyntheticProgramSpec,
+    generate_program,
+    run_campaign,
+)
 
 GRAPH = generate_program(
     SyntheticProgramSpec(n_functions=4, targets_per_function=(1, 2), rng_seed=2)
@@ -28,6 +34,9 @@ GRAPH = generate_program(
 SPEC = {"n_functions": 5, "rng_seed": 4, "blocks_per_function": [2, 3],
         "call_density": 1.5}
 TRACE = "1; 50; 8; functions=0,1; reached=0; triggered=\n"
+RESULT = json.loads(
+    run_campaign(GRAPH, CampaignConfig(scheduler="fishfuzz", duration=20)).to_json_bytes()
+)
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +80,11 @@ LOADERS = {
         _read_trace,
         lambda path, out, world: ["distance", "--graph", world[0], "--map", world[1],
                                   "--harmonic", path],
+    ),
+    "result": (
+        RESULT,
+        lambda path: CampaignResult.from_json_bytes(Path(path).read_bytes()),
+        lambda path, out, world: ["report", "--kind", "growth", "--out", out, path],
     ),
 }
 

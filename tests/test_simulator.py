@@ -125,6 +125,15 @@ def test_infeasible_specs_rejected():
         SyntheticProgramSpec(n_functions=5, branch_probability=1.5)
 
 
+def test_specs_at_the_upper_bounds_load():
+    SyntheticProgramSpec(n_functions=1)  # one function: no call pair to bound
+    SyntheticProgramSpec(n_functions=2, call_density=1)
+    SyntheticProgramSpec(n_functions=100_000)
+    SyntheticProgramSpec(
+        n_functions=5, blocks_per_function=(1, 1000), targets_per_function=(0, 100)
+    )
+
+
 # ---------------------------------------------------------------------------
 # mutation model
 # ---------------------------------------------------------------------------
