@@ -186,6 +186,8 @@ def cmd_simulate(args) -> None:
         graph = load_program(args.graph)
     else:
         graph = generate_program(_spec_from_file(args.spec))
+    if "harmonic_directed" in schedulers and not graph.targets():
+        raise InputError("harmonic_directed needs a graph with targets")
 
     seed_base = args.seed_base
     env_seed = os.environ.get(SEED_ENV)

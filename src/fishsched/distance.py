@@ -114,6 +114,10 @@ def harmonic_distance(trace, targets: list[Target], graph: ProgramGraph) -> floa
 # ---------------------------------------------------------------------------
 
 
+# The top-level fields of a saved map, all required.
+MAP_FIELDS = ("built_from", "weights", "dff")
+
+
 def save_distance_map(dmap: StaticDistanceMap, path: str) -> None:
     data = {
         "built_from": dmap.built_from,
@@ -130,7 +134,7 @@ def load_distance_map(path: str, graph: ProgramGraph) -> StaticDistanceMap:
     """Load a saved map, rejecting anything save_distance_map cannot write.
 
     Raises DistanceMapError on an unreadable file, corrupt JSON, a missing
-    field, a map built from another graph, a row that is not three
+    or unknown field, a map built from another graph, a row that is not three
     integers, a negative distance, an unknown function id, two rows for one
     pair, or a weight for a non-call edge.
     """
@@ -156,9 +160,12 @@ def _load_distance_map(path: str, graph: ProgramGraph) -> StaticDistanceMap:
     )
     if not isinstance(data, dict):
         raise DistanceMapError(f"{path}: corrupt file: expected a JSON object")
-    for key in ("built_from", "weights", "dff"):
+    for key in MAP_FIELDS:
         if key not in data:
             raise DistanceMapError(f"{path}: missing field '{key}'")
+    unknown = sorted(set(data) - set(MAP_FIELDS))
+    if unknown:
+        raise DistanceMapError(f"{path}: unknown field(s) {unknown}")
     expected = graph_hash(graph)
     if data["built_from"] != expected:
         raise DistanceMapError(

@@ -80,7 +80,7 @@ class FunctionExplorationState:
         self.explored: set = set()
 
     def observe(self, trace) -> int:
-        new = sorted(set(trace.functions) - self.explored)
+        new = set(trace.functions) - self.explored
         self.explored.update(new)
         return len(new)
 

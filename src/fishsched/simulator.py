@@ -55,6 +55,11 @@ SIZE_JITTER = (0.9, 1.1)
 MAX_FUNCTIONS = 100_000
 MAX_BLOCKS_PER_FUNCTION = 1_000
 MAX_TARGETS_PER_FUNCTION = 100
+# Bounds on a spec's totals, so that no spec that loads asks for more calls,
+# blocks or targets than MAX_FUNCTIONS functions with the default ranges.
+MAX_CALLS = 150_000
+MAX_BLOCKS = 800_000
+MAX_TARGETS = 300_000
 
 
 class SpecError(InputError):
@@ -97,6 +102,13 @@ class SyntheticProgramSpec:
         # caller/callee pairs than exist.
         if n >= 2 and self.call_density > n - 1:
             raise SpecError(f"call_density must be at most n_functions - 1 = {n - 1}")
+        for total, bound, name in (
+            (n * self.call_density, MAX_CALLS, "n_functions * call_density"),
+            (n * hi, MAX_BLOCKS, "n_functions * blocks_per_function[1]"),
+            (n * thi, MAX_TARGETS, "n_functions * targets_per_function[1]"),
+        ):
+            if total > bound:
+                raise SpecError(f"{name} must be at most {bound}")
 
 
 @dataclass(frozen=True)
@@ -152,9 +164,8 @@ def generate_program(spec: SyntheticProgramSpec) -> ProgramGraph:
             [{"id": b, "succ": sorted(succ[b]), "calls": []} for b in range(nb)]
         )
 
-    edges: list[tuple[int, int]] = [(rng.randrange(j), j) for j in range(1, n)]
-    edge_set = set(edges)
-    extra = max(0, round(spec.call_density * n) - len(edges))
+    edge_set = {(rng.randrange(j), j) for j in range(1, n)}
+    extra = max(0, round(spec.call_density * n) - len(edge_set))
     attempts = 0
     while extra > 0 and attempts < 50 * (extra + 1) and n > 1:
         attempts += 1
@@ -163,7 +174,6 @@ def generate_program(spec: SyntheticProgramSpec) -> ProgramGraph:
         if u == v or (u, v) in edge_set:
             continue
         edge_set.add((u, v))
-        edges.append((u, v))
         extra -= 1
 
     edges = sorted(edge_set)
@@ -178,7 +188,7 @@ def generate_program(spec: SyntheticProgramSpec) -> ProgramGraph:
             indirect.update(moved)
             direct = [e for e in direct if e[1] != victim]
 
-    for u, v in sorted(direct):
+    for u, v in direct:
         site = rng.randrange(len(blocks_per_fn[u]))
         blocks_per_fn[u][site]["calls"].append(v)
 
@@ -244,30 +254,26 @@ def execute_mutation(
     """
     successors = graph.ground_truth_successors
     parent_funcs = sorted(parent.trace.functions) if parent is not None else []
-
     retained = {ENTRY_FUNCTION}
-    for fid in parent_funcs:
-        if fid == ENTRY_FUNCTION:
-            continue
-        if rng.random() < model.locality:
-            retained.add(fid)
+    retained.update(
+        f for f in parent_funcs if f != ENTRY_FUNCTION and rng.random() < model.locality
+    )
 
     # Keep only what execution can actually flow into from the entry.
     funcs = set(bfs_hops(successors, [ENTRY_FUNCTION], allowed=retained))
 
+    # The work list grows while it is walked, in FIFO order.
     work = sorted(funcs)
-    while work:
-        u = work.pop(0)
+    for u in work:
         for v in successors[u]:
             if v in funcs:
                 continue
-            p = model.frontier_advance ** (1 + _difficulty(graph, u, v))
-            if rng.random() < p:
+            if rng.random() < model.frontier_advance ** (1 + _difficulty(graph, u, v)):
                 funcs.add(v)
                 work.append(v)
 
     edges: set = set()
-    visited_blocks: dict[int, set] = {}
+    reached: set = set()
     for fid in sorted(funcs):
         fn = graph.function(fid)
         visited = {fn.entry}
@@ -280,26 +286,19 @@ def execute_mutation(
             edges.add(("cfg", fid, b, nxt))
             b = nxt
             visited.add(b)
-        visited_blocks[fid] = visited
+        reached.update(t.id for t in fn.targets if t.block in visited)
 
     edges.update(("call", u, v) for u in funcs for v in successors[u] if v in funcs)
 
-    reached = set()
-    for fid in sorted(funcs):
-        for t in graph.function(fid).targets:
-            if t.block in visited_blocks[fid]:
-                reached.add(t.id)
-
-    triggered = set()
-    for tid in sorted(reached):
-        if rng.random() < model.trigger_probability * target_hardness(tid):
-            triggered.add(tid)
-
+    triggered = frozenset(
+        tid for tid in sorted(reached)
+        if rng.random() < model.trigger_probability * target_hardness(tid)
+    )
     return ExecutionTrace(
         functions=frozenset(funcs),
         edges=frozenset(edges),
         targets_reached=frozenset(reached),
-        targets_triggered=frozenset(triggered),
+        targets_triggered=triggered,
     )
 
 
@@ -439,25 +438,34 @@ def run_campaign_with_queue(graph: ProgramGraph, config: CampaignConfig):
     clock = PhaseClock()
     phase = Phase.INTER_EXPLORE
 
-    trace0 = execute_mutation(None, model, graph, rng)
-    seed0 = Seed(
-        id=0,
-        exec_time=sample_exec_time(model, len(trace0.functions), rng),
-        size=INITIAL_SEED_SIZE,
-        trace=trace0,
-        created_at=0,
-    )
-    queue = [seed0]
-    summary0 = ranking.record_execution(trace0, 0)
-    summary0 = replace(summary0, new_functions=fstate.observe(trace0))
-    clock.update(0, summary0)
-
-    covered: set = set(trace0.edges)
-    reached_count = summary0.new_reached
-    trig_count = summary0.new_triggered
+    queue: list = []
+    covered: set = set()
+    reached_count = trig_count = executions = 0
     timeline: list = [[0, phase.value, "start"]]
     series: list = []
-    executions = 1
+
+    def execute(parent, now: int):
+        """Run, record and queue one input; the first (parent None) is always queued."""
+        nonlocal reached_count, trig_count, executions
+        trace = execute_mutation(parent, model, graph, rng)
+        exec_time = sample_exec_time(model, len(trace.functions), rng)
+        size = INITIAL_SEED_SIZE if parent is None else sample_size(parent.size, rng)
+        executions += 1
+
+        summary = ranking.record_execution(trace, now)
+        summary = replace(summary, new_functions=fstate.observe(trace))
+        reached_count += summary.new_reached
+        trig_count += summary.new_triggered
+
+        new_edges = not (trace.edges <= covered)
+        covered.update(trace.edges)
+        admitted = parent is None or new_edges or summary.new_reached > 0
+        if admitted:
+            queue.append(Seed(
+                id=len(queue), exec_time=exec_time, size=size, trace=trace,
+                parent=None if parent is None else parent.id, created_at=now,
+            ))
+        return summary, admitted
 
     dsf_cache: dict = {}
 
@@ -494,64 +502,31 @@ def run_campaign_with_queue(graph: ProgramGraph, config: CampaignConfig):
             )
         # round_robin keeps no favors
 
+    clock.update(0, execute(None, 0)[0])
     cull()
-    rr_index = 0
 
     for now in range(1, config.duration + 1):
         for _ in range(config.executions_per_tick):
             if policy == "round_robin":
-                parent = queue[rr_index % len(queue)]
-                rr_index += 1
+                parent = queue[(executions - 1) % len(queue)]
             else:
                 parent = select_next_seed(queue, rng)
-
-            trace = execute_mutation(parent, model, graph, rng)
-            exec_time = sample_exec_time(model, len(trace.functions), rng)
-            size = sample_size(parent.size, rng)
-            executions += 1
-
-            summary = ranking.record_execution(trace, now)
-            summary = replace(summary, new_functions=fstate.observe(trace))
-            reached_count += summary.new_reached
-            trig_count += summary.new_triggered
-
-            new_edges = not (trace.edges <= covered)
-            covered.update(trace.edges)
-            admitted = new_edges or summary.new_reached > 0
-            if admitted:
-                queue.append(
-                    Seed(
-                        id=len(queue),
-                        exec_time=exec_time,
-                        size=size,
-                        trace=trace,
-                        parent=parent.id,
-                        created_at=now,
-                    )
-                )
+            summary, admitted = execute(parent, now)
 
             prev = phase
             phase = phase_step(phase, clock, now, cfg, summary)
-            events = []
-            if summary.new_functions:
-                events.append("new_function")
-            if summary.new_reached:
-                events.append("new_reach")
-            if summary.new_triggered:
-                events.append("new_trigger")
-            if phase is not prev and not events:
-                events.append("timeout")
-            for ev in events:
-                timeline.append([now, phase.value, ev])
+            # Novelty names its events; a phase change without any is a timeout.
+            events = [ev for ev, n in zip(
+                ("new_function", "new_reach", "new_trigger"),
+                (summary.new_functions, summary.new_reached, summary.new_triggered),
+            ) if n] or (["timeout"] if phase is not prev else [])
+            timeline.extend([now, phase.value, ev] for ev in events)
             clock.update(now, summary)
 
-            novelty = (
-                summary.new_functions or summary.new_reached or summary.new_triggered
-            )
             # Hit counts move with every execution, so exploitation reculls
             # after each one to rotate service onto the least-hit targets.
             exploiting = policy == "fishfuzz" and phase is Phase.EXPLOIT
-            if phase is not prev or admitted or novelty or exploiting:
+            if events or admitted or exploiting:
                 cull()
 
         series.append([now, len(covered), reached_count, trig_count])

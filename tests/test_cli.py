@@ -559,6 +559,29 @@ BAD_INPUTS = {
         lambda tmp, g: _spec(tmp, targets_per_function=[0, 101]),
         "0 <= lo <= hi <= 100",
     ),
+    "spec with too many calls in total": (
+        lambda tmp, g: _spec(tmp, n_functions=1000, call_density=999),
+        "n_functions * call_density must be at most 150000",
+    ),
+    "spec with too many blocks in total": (
+        lambda tmp, g: _spec(tmp, n_functions=1000, blocks_per_function=[1, 1000]),
+        "n_functions * blocks_per_function[1] must be at most 800000",
+    ),
+    "spec with too many targets in total": (
+        lambda tmp, g: _spec(tmp, n_functions=3001, targets_per_function=[0, 100]),
+        "n_functions * targets_per_function[1] must be at most 300000",
+    ),
+    # The harmonic baseline has nothing to aim at on a graph without targets.
+    "harmonic_directed on a targetless graph": (
+        lambda tmp, g: _spec(tmp, targets_per_function=[0, 0])
+        + ["--scheduler", "harmonic_directed"],
+        "fishsched: harmonic_directed needs a graph with targets",
+    ),
+    "compare with harmonic_directed on a targetless graph": (
+        lambda tmp, g: _spec(tmp, targets_per_function=[0, 0])
+        + ["--compare", "fishfuzz,harmonic_directed"],
+        "fishsched: harmonic_directed needs a graph with targets",
+    ),
 }
 
 

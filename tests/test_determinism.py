@@ -12,7 +12,14 @@ import sys
 from pathlib import Path
 
 import fishsched
-from fishsched.simulator import SCHEDULERS
+from fishsched.scheduler import SchedulerConfig
+from fishsched.simulator import (
+    SCHEDULERS,
+    CampaignConfig,
+    SyntheticProgramSpec,
+    generate_program,
+    run_campaign_with_queue,
+)
 
 SRC = Path(fishsched.__file__).resolve().parents[1]
 
@@ -63,3 +70,37 @@ def test_outputs_match_pinned_digests(tmp_path):
     digests = {name: hashlib.sha256(data).hexdigest() for name, data in files.items()}
     assert digests == PINNED_SHA256
     assert hashlib.sha256(stdout).hexdigest() == PINNED_STDOUT_SHA256
+
+
+# SHA-256 of each scheduler's result bytes and final queue at three
+# executions per tick, so the order of the runs inside one tick, and each
+# seed's parent and creation tick, are pinned as well.
+PINNED_QUEUE_SHA256 = {
+    "fishfuzz": "ef175881d01b03c9bd567ed5b6f4ed86dc8f958878489d12791c07d5de00d365",
+    "round_robin": "e9037781e7840330e5875050ed0d9a2a48b13d287354cb7a46fd6f91b76f5f52",
+    "afl_favor": "b890a956ee89a12baa19b0cb3ba422de40021076eefeabe467cf1ba59c867695",
+    "harmonic_directed": "bd9d8bd2ea65ffa03e0d8e329c44a1e4343548ef76cd5a9eba2ecbde78f711a3",
+}
+
+
+def test_multi_execution_ticks_match_pinned_digests():
+    graph = generate_program(
+        SyntheticProgramSpec(
+            n_functions=40, indirect_edge_fraction=0.15, targets_per_function=(0, 2),
+            rng_seed=21,
+        )
+    )
+    digests = {}
+    for scheduler in SCHEDULERS:
+        config = CampaignConfig(
+            scheduler=scheduler, duration=150, executions_per_tick=3, rng_seed=7,
+            scheduler_config=SchedulerConfig(w_function=20, w_reach=10, w_trigger=40),
+        )
+        result, queue = run_campaign_with_queue(graph, config)
+        assert result.queue_stats["executions"] == 1 + 150 * 3
+        digest = hashlib.sha256(result.to_json_bytes())
+        digest.update(repr([
+            (s.id, s.parent, s.created_at, s.exec_time, s.size, s.favor) for s in queue
+        ]).encode())
+        digests[scheduler] = digest.hexdigest()
+    assert digests == PINNED_QUEUE_SHA256

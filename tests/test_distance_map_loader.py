@@ -70,6 +70,13 @@ def test_malformed_document_is_rejected(saved_map, chain_graph):
         load_distance_map(write(data), chain_graph)
 
 
+def test_unknown_field_is_rejected(saved_map, chain_graph):
+    data, write = saved_map
+    data["colour"] = 1
+    with pytest.raises(DistanceMapError, match=r"unknown field\(s\) \['colour'\]"):
+        load_distance_map(write(data), chain_graph)
+
+
 def test_untouched_map_still_loads(saved_map, chain_graph):
     data, write = saved_map
     loaded = load_distance_map(write(data), chain_graph)

@@ -324,6 +324,22 @@ def test_admission_requires_novelty():
         reached |= s.trace.targets_reached
 
 
+def test_first_input_is_queued_without_novelty():
+    # One function of one block: the first trace covers no edge and reaches
+    # no target, and is still queued as seed 0. harmonic_directed needs a
+    # target to aim at, so it cannot run here.
+    g = weight0_chain(1)
+    for sched in ("fishfuzz", "round_robin", "afl_favor"):
+        result, queue = run_campaign_with_queue(
+            g, CampaignConfig(scheduler=sched, duration=5, rng_seed=1)
+        )
+        assert queue[0].trace.edges == frozenset()
+        assert queue[0].trace.targets_reached == frozenset()
+        assert (queue[0].id, queue[0].parent, queue[0].created_at) == (0, None, 0)
+        assert len(queue) == 1
+        assert result.queue_stats["executions"] == 6
+
+
 def test_result_json_round_trip():
     g = small_world()
     r = run_campaign(g, CampaignConfig(scheduler="afl_favor", duration=100, rng_seed=4))
