@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import math
-import os
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -24,7 +23,9 @@ from .distance import (
     save_distance_map,
 )
 from .execution import ExecutionTrace, dsf, multi_target_distance, parse_trace_line
-from .graph import InputError, decode_text, load_program, read_bytes, read_json
+from .graph import (
+    InputError, check_fields, decode_text, load_program, read_bytes, read_json,
+)
 from .ranking import TargetRanking, energy_series
 from .simulator import (
     STANDARD_SPEC,
@@ -42,8 +43,6 @@ from .scheduler import SchedulerConfig
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_OUTPUT = 3
-
-SEED_ENV = "FISHSCHED_SEED"
 
 
 def _err(message: str) -> None:
@@ -99,10 +98,8 @@ def cmd_distance(args) -> None:
         seed, fids = _read_trace(args.dsf[0]), [args.dsf[1]]
     elif args.multi is not None:
         seed, tids = _read_trace(args.multi[0]), args.multi[1].split(",")
-    elif args.harmonic is not None:
-        seed = _read_trace(args.harmonic)
     else:
-        raise InputError("one of --dff/--dsf/--multi/--harmonic is required")
+        seed = _read_trace(args.harmonic)
     # Every id the query names, on the command line or in the trace, must be
     # in the graph: a distance to an unknown function would print as inf.
     trace = seed.trace if seed is not None else ExecutionTrace()
@@ -136,13 +133,8 @@ def _spec_from_file(path: str) -> SyntheticProgramSpec:
     if path == "standard":
         return STANDARD_SPEC
     data = read_json(path, SpecError)
-    if not isinstance(data, dict):
-        raise SpecError(f"{path}: expected a JSON object")
-    unknown = sorted(set(data) - {f.name for f in fields(SyntheticProgramSpec)})
-    if unknown:
-        raise SpecError(f"{path}: unknown field(s) {unknown}")
-    if "n_functions" not in data:
-        raise SpecError(f"{path}: missing field 'n_functions'")
+    optional = [f.name for f in fields(SyntheticProgramSpec)]
+    check_fields(data, path, ("n_functions",), optional, error=SpecError)
     kwargs = dict(data)
     for key, value in data.items():
         if key in ("blocks_per_function", "targets_per_function"):
@@ -160,44 +152,28 @@ def _spec_from_file(path: str) -> SyntheticProgramSpec:
 
 def _scheduler_config(args) -> SchedulerConfig:
     cfg = standard_scheduler_config() if args.spec == "standard" else SchedulerConfig()
-    overrides = {}
-    if args.w_function is not None:
-        overrides["w_function"] = args.w_function
-    if args.w_reach is not None:
-        overrides["w_reach"] = args.w_reach
-    if args.w_trigger is not None:
-        overrides["w_trigger"] = args.w_trigger
-    if args.exploit_fraction is not None:
-        overrides["exploit_fraction"] = args.exploit_fraction
-    if args.exploit_include_triggered:
-        overrides["exploit_include_triggered"] = True
-    return replace(cfg, **overrides) if overrides else cfg
+    # Each flag given overrides the SchedulerConfig field of the same name.
+    names = ("w_function", "w_reach", "w_trigger", "exploit_fraction",
+             "exploit_include_triggered")
+    given = vars(args)
+    return replace(cfg, **{k: given[k] for k in names if given[k] is not None})
 
 
 def cmd_simulate(args) -> None:
-    if (args.spec is None) == (args.graph is None):
-        raise InputError("exactly one of --spec or --graph is required")
-    schedulers = args.compare.split(",") if args.compare else [args.scheduler]
+    schedulers = (args.compare.split(",") if args.compare is not None
+                  else [args.scheduler or "fishfuzz"])
     if any(s not in SCHEDULERS for s in schedulers):
         raise InputError(
             f"unknown scheduler in {schedulers}; expected one of {list(SCHEDULERS)}"
         )
+    if len(set(schedulers)) != len(schedulers):
+        raise InputError(f"--compare names a scheduler twice: {args.compare}")
     if args.graph is not None:
         graph = load_program(args.graph)
     else:
         graph = generate_program(_spec_from_file(args.spec))
     if "harmonic_directed" in schedulers and not graph.targets():
         raise InputError("harmonic_directed needs a graph with targets")
-
-    seed_base = args.seed_base
-    env_seed = os.environ.get(SEED_ENV)
-    if env_seed is not None:
-        try:
-            seed_base = int(env_seed)
-        except ValueError:
-            raise InputError(
-                f"{SEED_ENV} must be an integer, got {env_seed!r}"
-            ) from None
 
     # Every campaign is configured, and so validated, before anything is written.
     if args.seeds < 1:
@@ -211,7 +187,7 @@ def cmd_simulate(args) -> None:
                 scheduler=scheduler,
                 duration=args.duration,
                 executions_per_tick=args.executions_per_tick,
-                rng_seed=seed_base + k,
+                rng_seed=args.seed_base + k,
                 scheduler_config=sched_cfg,
             )
             for scheduler in schedulers
@@ -300,29 +276,35 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("distance", help="query distances for inspection")
     p.add_argument("--graph", required=True, help="program graph file (JSON)")
     p.add_argument("--map", required=True, help="distance-map file from 'analyze'")
-    p.add_argument("--dff", nargs=2, type=int, metavar=("A", "B"),
-                   help="function-to-function distance")
-    p.add_argument("--dsf", nargs=2, metavar=("TRACE", "F"),
-                   help="seed-to-function distance from a trace file")
-    p.add_argument("--multi", nargs=2, metavar=("TRACE", "T1,T2,..."),
-                   help="per-target distance vector from a trace file")
-    p.add_argument("--harmonic", metavar="TRACE",
-                   help="harmonic-average baseline distance for a trace file")
+    query = p.add_mutually_exclusive_group(required=True)
+    query.add_argument("--dff", nargs=2, type=int, metavar=("A", "B"),
+                       help="function-to-function distance")
+    query.add_argument("--dsf", nargs=2, metavar=("TRACE", "F"),
+                       help="seed-to-function distance from a trace file")
+    query.add_argument("--multi", nargs=2, metavar=("TRACE", "T1,T2,..."),
+                       help="per-target distance vector from a trace file")
+    query.add_argument("--harmonic", metavar="TRACE",
+                       help="harmonic-average baseline distance for a trace file")
     p.set_defaults(func=cmd_distance)
 
     p = sub.add_parser("simulate", help="run campaigns and write result files")
-    p.add_argument("--spec", help="synthetic program spec JSON file, or 'standard'")
-    p.add_argument("--graph", help="program graph file (JSON)")
-    p.add_argument("--scheduler", default="fishfuzz", choices=SCHEDULERS,
-                   help="scheduler policy (default: fishfuzz)")
-    p.add_argument("--compare", metavar="S1,S2,...",
-                   help="run several schedulers over identical seeds and compare")
+    program = p.add_mutually_exclusive_group(required=True)
+    program.add_argument("--spec",
+                         help="synthetic program spec JSON file, or 'standard'")
+    program.add_argument("--graph", help="program graph file (JSON)")
+    # No default here: argparse's group check ignores a value that is the
+    # default object, and an interned "fishfuzz" can be that very object.
+    policy = p.add_mutually_exclusive_group()
+    policy.add_argument("--scheduler", choices=SCHEDULERS,
+                        help="scheduler policy (default: fishfuzz)")
+    policy.add_argument("--compare", metavar="S1,S2,...",
+                        help="run several schedulers over identical seeds and compare")
     p.add_argument("--duration", type=int, default=1000,
                    help="campaign length in ticks (default: 1000)")
     p.add_argument("--seeds", type=int, default=1,
                    help="number of campaign rng seeds (default: 1)")
     p.add_argument("--seed-base", type=int, default=1,
-                   help=f"first rng seed; ${SEED_ENV} overrides (default: 1)")
+                   help="first rng seed (default: 1)")
     p.add_argument("--executions-per-tick", type=int, default=1,
                    help="executions per virtual tick (default: 1)")
     p.add_argument("--w-function", type=float, default=None,
@@ -333,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="ticks without a new triggered target before re-exploring")
     p.add_argument("--exploit-fraction", type=float, default=None,
                    help="fraction of least-hit reached targets serviced (default: 0.2)")
-    p.add_argument("--exploit-include-triggered", action="store_true",
+    p.add_argument("--exploit-include-triggered", action="store_const", const=True,
                    help="keep triggered targets in the exploitation candidate list")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_simulate)

@@ -22,10 +22,12 @@ from .graph import (
     Target,
     bfs_hops,
     canonical_json,
+    check_fields,
     graph_hash,
     read_json,
     shortest_paths,
 )
+from .execution import traversed_functions
 
 # A target sitting directly on the execution path would divide by zero in
 # the harmonic average; it enters the mean as this value instead.
@@ -95,7 +97,7 @@ def harmonic_distance(trace, targets: list[Target], graph: ProgramGraph) -> floa
     """
     if not targets:
         raise ValueError("harmonic_distance requires at least one target")
-    dist = bfs_hops(graph.call_successors, trace.functions)
+    dist = bfs_hops(graph.call_successors, traversed_functions(trace))
     inv_sum = 0.0
     finite = 0
     for t in targets:
@@ -158,14 +160,7 @@ def _load_distance_map(path: str, graph: ProgramGraph) -> StaticDistanceMap:
         path, DistanceMapError, f"{path}: corrupt file",
         parse_float=not_an_integer, parse_constant=not_an_integer,
     )
-    if not isinstance(data, dict):
-        raise DistanceMapError(f"{path}: corrupt file: expected a JSON object")
-    for key in MAP_FIELDS:
-        if key not in data:
-            raise DistanceMapError(f"{path}: missing field '{key}'")
-    unknown = sorted(set(data) - set(MAP_FIELDS))
-    if unknown:
-        raise DistanceMapError(f"{path}: unknown field(s) {unknown}")
+    check_fields(data, path, MAP_FIELDS, error=DistanceMapError)
     expected = graph_hash(graph)
     if data["built_from"] != expected:
         raise DistanceMapError(

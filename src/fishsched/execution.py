@@ -8,10 +8,12 @@ over immutable inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .graph import ENTRY_FUNCTION, ProgramGraph
-from .distance import StaticDistanceMap
+
+if TYPE_CHECKING:  # distance imports this module
+    from .distance import StaticDistanceMap
 
 
 @dataclass(frozen=True)
@@ -63,7 +65,7 @@ class TargetDistanceVector:
         return len(self.entries)
 
 
-def _traversed(trace: ExecutionTrace) -> frozenset:
+def traversed_functions(trace: ExecutionTrace) -> frozenset:
     # Every execution enters the program entry; a trace that recorded
     # nothing (crash at entry) still counts the entry function.
     return trace.functions if trace.functions else frozenset({ENTRY_FUNCTION})
@@ -76,7 +78,7 @@ def dsf(seed: Seed, fid: int, dmap: StaticDistanceMap) -> Optional[int]:
     distance from any traversed function; None when no traversed function
     reaches fid statically.
     """
-    return dsf_of_functions(_traversed(seed.trace), fid, dmap)
+    return dsf_of_functions(traversed_functions(seed.trace), fid, dmap)
 
 
 def dsf_of_functions(funcs, fid: int, dmap: StaticDistanceMap) -> Optional[int]:
@@ -102,7 +104,7 @@ def multi_target_distance(
     A triggered target contributes zero regardless of the seed; untriggered
     entries are the seed's distance to the target's owner function.
     """
-    funcs = _traversed(seed.trace)
+    funcs = traversed_functions(seed.trace)
     entries: dict = {}
     for tid in targets:
         target = graph.target(tid)

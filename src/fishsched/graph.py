@@ -174,16 +174,17 @@ def _successors(functions: tuple[Function, ...], pairs) -> MappingProxyType:
 _IEDGE_KEYS = ("from_fn", "from_block", "to_fn")
 
 
-def _fields(obj, where: str, required: tuple, optional: tuple = ()) -> None:
-    """Check that obj is an object with every required field and no others."""
+def check_fields(obj, where: str, required, optional=(), error=ParseError) -> None:
+    """The record check of every input file: obj must be a JSON object with
+    every required field and no others, or error names where it is not."""
     if not isinstance(obj, dict):
-        raise ParseError(f"{where}: expected object")
+        raise error(f"{where}: expected a JSON object")
     unknown = obj.keys() - {*required, *optional}
     if unknown:
-        raise ParseError(f"{where}: unknown field(s) {sorted(unknown)}")
+        raise error(f"{where}: unknown field(s) {sorted(unknown)}")
     for key in required:
         if key not in obj:
-            raise ParseError(f"{where}: missing field '{key}'")
+            raise error(f"{where}: missing field '{key}'")
 
 
 def _is_id(value) -> bool:
@@ -233,7 +234,7 @@ def _function(obj: dict, where: str, remap: dict, call_edges: set,
     blocks = []
     for j, bobj in enumerate(_list_field(obj, "blocks", where)):
         bwhere = f"{where}.blocks[{j}]"
-        _fields(bobj, bwhere, ("id",), ("succ", "calls"))
+        check_fields(bobj, bwhere, ("id",), ("succ", "calls"))
         bid = _id(bobj, "id", bwhere)
         succ = _ids(bobj, "succ", bwhere)
         calls = []
@@ -262,7 +263,7 @@ def _function(obj: dict, where: str, remap: dict, call_edges: set,
     targets = []
     for j, tobj in enumerate(_list_field(obj, "targets", where)):
         twhere = f"{where}.targets[{j}]"
-        _fields(tobj, twhere, ("id", "block"))
+        check_fields(tobj, twhere, ("id", "block"))
         tid, block = _id(tobj, "id", twhere), _id(tobj, "block", twhere)
         if tid in target_owner:
             raise ValidationError(
@@ -287,14 +288,14 @@ def graph_from_dict(data) -> ProgramGraph:
     Function ids are remapped onto 0..N-1 in ascending file-id order;
     diagnostics name ids as the file gives them.
     """
-    _fields(data, "top level", (), ("functions", "indirect_edges"))
+    check_fields(data, "top level", (), ("functions", "indirect_edges"))
     fobjs = data.get("functions")
     if not isinstance(fobjs, list):
         raise ParseError("top level: missing or non-list 'functions'")
     file_ids = []
     for i, obj in enumerate(fobjs):
         where = f"functions[{i}]"
-        _fields(obj, where, ("id", "name", "entry", "blocks"), ("targets",))
+        check_fields(obj, where, ("id", "name", "entry", "blocks"), ("targets",))
         file_ids.append(_id(obj, "id", where))
     remap = {old: new for new, old in enumerate(sorted(set(file_ids)))}
     if len(remap) != len(file_ids):
@@ -310,7 +311,7 @@ def graph_from_dict(data) -> ProgramGraph:
     indirect = []
     for i, eobj in enumerate(_list_field(data, "indirect_edges", "top level")):
         where = f"indirect_edges[{i}]"
-        _fields(eobj, where, _IEDGE_KEYS)
+        check_fields(eobj, where, _IEDGE_KEYS)
         src, block, dst = (_id(eobj, key, where) for key in _IEDGE_KEYS)
         if src not in remap or dst not in remap:
             raise ValidationError(

@@ -20,6 +20,7 @@ from .graph import (
     ProgramGraph,
     bfs_hops,
     canonical_json,
+    check_fields,
     decode_text,
     graph_from_dict,
     graph_hash,
@@ -400,18 +401,11 @@ class CampaignResult:
         """Parse a result file; InputError names the first bad or missing field."""
         where = "not a campaign result"
         data = parse_json(decode_text(raw, InputError, where), InputError, where)
-        if not isinstance(data, dict):
-            raise InputError("not a campaign result: expected a JSON object")
-        unknown = sorted(set(data) - {f.name for f in fields(cls)})
-        if unknown:
-            raise InputError(f"not a campaign result: unknown field(s) {unknown}")
+        check_fields(data, where, [f.name for f in fields(cls)], error=InputError)
         for f in fields(cls):
-            if f.name not in data:
-                raise InputError(f"missing key {f.name!r}")
             if not f.metadata["check"](data[f.name]):
                 raise InputError(
-                    f"not a campaign result: field {f.name!r} has the wrong type"
-                    " or shape"
+                    f"{where}: field {f.name!r} has the wrong type or shape"
                 )
         data["target_hits"] = {int(k): v for k, v in data["target_hits"].items()}
         return cls(**data)
@@ -430,8 +424,10 @@ def run_campaign_with_queue(graph: ProgramGraph, config: CampaignConfig):
     cfg = config.scheduler_config
     policy = config.scheduler
 
-    dmap = build_distance_map(graph) if policy == "fishfuzz" else None
     all_targets = graph.targets()
+    if policy == "harmonic_directed" and not all_targets:
+        raise ValueError("harmonic_directed needs a graph with targets")
+    dmap = build_distance_map(graph) if policy == "fishfuzz" else None
 
     ranking = TargetRanking(graph)
     fstate = FunctionExplorationState(graph)

@@ -222,23 +222,23 @@ def test_simulate_rerun_is_byte_identical(tmp_path, capsys, small_graph_file):
     assert f1 == f2
 
 
-def test_simulate_env_seed_override(tmp_path, capsys, small_graph_file, monkeypatch):
-    out = tmp_path / "env"
-    monkeypatch.setenv("FISHSCHED_SEED", "33")
-    code, _stdout, _ = run_cli(
-        capsys, "simulate", "--graph", small_graph_file,
-        "--scheduler", "round_robin", "--duration", "20", "--out", str(out),
+def test_simulate_seed_base_names_the_first_seed(tmp_path, capsys, small_graph_file):
+    out = tmp_path / "based"
+    code, _stdout, stderr = run_cli(
+        capsys, "simulate", "--graph", small_graph_file, "--scheduler", "round_robin",
+        "--duration", "20", "--seed-base", "33", "--out", str(out),
     )
-    assert code == 0
-    assert (out / "result_round_robin_33.json").exists()
+    assert code == 0 and stderr == ""
+    assert [p.name for p in out.iterdir()] == ["result_round_robin_33.json"]
 
 
 def test_simulate_requires_spec_or_graph(tmp_path, capsys):
-    code, _stdout, stderr = run_cli(
-        capsys, "simulate", "--scheduler", "fishfuzz", "--out", str(tmp_path / "x")
-    )
-    assert code == 2
-    assert "exactly one of" in stderr
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--scheduler", "fishfuzz", "--out", str(tmp_path / "x")])
+    stderr = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert stderr.count("\n") == 1
+    assert "one of the arguments --spec --graph is required" in stderr
 
 
 def test_simulate_spec_file(tmp_path, capsys):
@@ -439,6 +439,15 @@ BAD_INPUTS = {
         lambda tmp, g: ["simulate", "--graph", g, "--compare", "fishfuzz"],
         "--compare needs at least two campaigns",
     ),
+    "compare of an empty list": (
+        lambda tmp, g: ["simulate", "--graph", g, "--compare", ""],
+        "unknown scheduler in ['']",
+    ),
+    "compare naming a scheduler twice": (
+        lambda tmp, g: ["simulate", "--graph", g, "--compare", "round_robin,round_robin",
+                        "--seeds", "2"],
+        "--compare names a scheduler twice: round_robin,round_robin",
+    ),
     "result is a list": (
         lambda tmp, g: ["report", "--kind", "growth", "--out", str(tmp / "x.csv"),
                         _write(tmp / "list.json", [1, 2])],
@@ -447,7 +456,7 @@ BAD_INPUTS = {
     "result missing a key": (
         lambda tmp, g: ["report", "--kind", "growth", "--out", str(tmp / "x.csv"),
                         _result_without(tmp, g, "rng_seed")],
-        "partial.json: missing key 'rng_seed'",
+        "partial.json: not a campaign result: missing field 'rng_seed'",
     ),
     "map weight row of two fields": (
         lambda tmp, g: ["distance", "--graph", g, "--dff", "0", "1",
@@ -611,6 +620,20 @@ USAGE_ERRORS = {
                                     "--colour"],
     "missing --out": lambda tmp, g: ["analyze", "--graph", g],
     "no subcommand": lambda tmp, g: [],
+    # Exactly one distance query, one program and one way to pick schedulers.
+    "--dff with --dsf": lambda tmp, g: _distance(tmp, g, "--dff", "0", "1",
+                                                 "--dsf", _trace(tmp), "1"),
+    "distance with no query": lambda tmp, g: _distance(tmp, g),
+    "--spec with --graph": lambda tmp, g: ["simulate", "--spec", "standard", "--graph", g,
+                                           "--out", str(tmp / "x")],
+    "--scheduler with --compare": lambda tmp, g: [
+        "simulate", "--graph", g, "--scheduler", "afl_favor",
+        "--compare", "fishfuzz,round_robin", "--out", str(tmp / "x"),
+    ],
+    "--scheduler fishfuzz with --compare": lambda tmp, g: [
+        "simulate", "--graph", g, "--scheduler", "fishfuzz",
+        "--compare", "afl_favor,round_robin", "--out", str(tmp / "x"),
+    ],
 }
 
 

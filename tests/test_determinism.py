@@ -25,7 +25,7 @@ SRC = Path(fishsched.__file__).resolve().parents[1]
 
 
 def _simulate(out: Path, hash_seed: str):
-    env = {k: v for k, v in os.environ.items() if k != "FISHSCHED_SEED"}
+    env = dict(os.environ)
     env["PYTHONHASHSEED"] = hash_seed
     env["PYTHONPATH"] = str(SRC)
     # Short phase windows so that all three fishfuzz phases occur.

@@ -12,7 +12,7 @@ from fishsched.distance import (
     weight,
 )
 from fishsched.execution import ExecutionTrace, dsf
-from fishsched.graph import graph_from_dict, shortest_paths
+from fishsched.graph import ENTRY_FUNCTION, graph_from_dict, shortest_paths
 from fishsched.simulator import run_campaign_with_queue, standard_config, standard_graph
 from conftest import linear_block, make_graph
 from oracles import (
@@ -177,6 +177,15 @@ def test_harmonic_zero_distance_uses_epsilon(fig2_graph):
     # target function on the path: distance 0 enters as 0.5
     t1 = fig2_graph.target(0)
     assert harmonic_distance(trace_of(6), [t1], fig2_graph) == pytest.approx(0.5)
+
+
+def test_harmonic_counts_the_entry_of_an_empty_trace(fig2_graph):
+    # A trace that recorded no function still entered the program, as dsf
+    # counts it: it measures like a trace of the entry function alone.
+    targets = fig2_graph.targets()
+    empty = harmonic_distance(trace_of(), targets, fig2_graph)
+    assert empty == harmonic_distance(trace_of(ENTRY_FUNCTION), targets, fig2_graph)
+    assert empty != math.inf
 
 
 # ---------------------------------------------------------------------------

@@ -165,6 +165,33 @@ def test_any_input_loads_or_is_one_diagnostic_line(world, kind, data):
         assert not out.exists()
 
 
+def _without_a_required_field(kind):
+    data = copy.deepcopy(LOADERS[kind][0])
+    record = data["functions"][0] if kind == "graph" else data
+    del record[{"graph": "entry", "map": "dff", "spec": "n_functions",
+                "result": "rng_seed"}[kind]]
+    return data
+
+
+RECORD_FAULTS = {
+    "not an object": (lambda kind: [], "expected a JSON object"),
+    "missing field": (_without_a_required_field, "missing field"),
+    "unknown field": (lambda kind: {**LOADERS[kind][0], "colour": 1},
+                      "unknown field(s) ['colour']"),
+}
+
+
+@pytest.mark.parametrize("kind", ["graph", "map", "spec", "result"])
+@pytest.mark.parametrize("fault", list(RECORD_FAULTS))
+def test_every_json_loader_checks_its_records_alike(tmp_path, kind, fault):
+    make, expected = RECORD_FAULTS[fault]
+    path = tmp_path / "input"
+    path.write_text(json.dumps(make(kind)))
+    with pytest.raises(InputError) as exc:
+        LOADERS[kind][1](str(path))
+    assert expected in str(exc.value)
+
+
 def test_valid_inputs_load(world):
     """The files the mutations start from are themselves valid."""
     for kind, (valid, load, _argv) in LOADERS.items():

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from fishsched import simulator
 from fishsched.distance import build_distance_map
 from fishsched.execution import ExecutionTrace, Seed, dsf_of_functions
 from fishsched.graph import ENTRY_FUNCTION, graph_from_dict, graph_hash
@@ -338,6 +339,16 @@ def test_first_input_is_queued_without_novelty():
         assert (queue[0].id, queue[0].parent, queue[0].created_at) == (0, None, 0)
         assert len(queue) == 1
         assert result.queue_stats["executions"] == 6
+
+
+def test_harmonic_directed_without_targets_fails_before_executing(monkeypatch):
+    def no_execution(*args):
+        raise AssertionError("an input was executed")
+
+    monkeypatch.setattr(simulator, "execute_mutation", no_execution)
+    config = CampaignConfig(scheduler="harmonic_directed", duration=5)
+    with pytest.raises(ValueError, match="harmonic_directed needs a graph with targets"):
+        run_campaign_with_queue(weight0_chain(1), config)
 
 
 def test_result_json_round_trip():
