@@ -82,7 +82,7 @@ def cmd_analyze(args) -> None:
     dmap = build_distance_map(graph)
     save_distance_map(dmap, args.out)
     n_targets = len(graph.targets())
-    finite = sum(1 for (a, b) in dmap.dff if a != b)
+    finite = len(dmap.dff) - graph.n_functions  # each row holds its source at 0
     print(
         f"functions={graph.n_functions} targets={n_targets} finite_dff_pairs={finite}"
     )
@@ -112,6 +112,8 @@ def cmd_distance(args) -> None:
             graph.target(tid)
     except (KeyError, ValueError) as exc:
         raise InputError(exc.args[0]) from None
+    if args.multi is not None and not tids:
+        raise InputError(f"--multi names no target: {args.multi[1]!r}")
 
     if args.dff is not None:
         print(_fmt_distance(dmap.dff_value(*fids)))

@@ -12,7 +12,11 @@ from __future__ import annotations
 
 import gc
 import math
+from collections import defaultdict
+from collections.abc import Mapping
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from typing import Optional
 
@@ -44,12 +48,17 @@ class StaticDistanceMap:
 
     weights maps every direct call edge (caller, callee) to its conditional
     edge count (None when no call site is reachable from the caller entry).
-    dff holds finite distances only; query through dff_value.
+    rows[a] is {b: dff(a, b)} for every b that a reaches, a itself at 0, and
+    dff is a read-only {(a, b): d} view of them; query through dff_value.
     """
 
     built_from: str
     weights: dict
-    dff: dict
+    rows: tuple
+
+    @cached_property
+    def dff(self) -> Mapping:
+        return _PairView(self.rows)
 
     def weight_value(self, caller: int, callee: int) -> Optional[int]:
         return self.weights.get((caller, callee))
@@ -58,6 +67,26 @@ class StaticDistanceMap:
         if fa == fb:
             return 0
         return self.dff.get((fa, fb))
+
+
+class _PairView(Mapping):
+    """{(a, b): rows[a][b]}, without a tuple per pair; len is counted once."""
+
+    def __init__(self, rows: tuple) -> None:
+        self._rows = rows
+        self._len = sum(map(len, rows))
+
+    def __getitem__(self, pair):
+        a, b = pair
+        if 0 <= a < len(self._rows) and b in self._rows[a]:
+            return self._rows[a][b]
+        raise KeyError(pair)
+
+    def __iter__(self):
+        return ((a, b) for a, row in enumerate(self._rows) for b in row)
+
+    def __len__(self) -> int:
+        return self._len
 
 
 def weight(graph: ProgramGraph, caller: int, callee: int) -> Optional[int]:
@@ -71,19 +100,29 @@ def weight(graph: ProgramGraph, caller: int, callee: int) -> Optional[int]:
     return graph.call_weights.get((caller, callee))
 
 
+@contextmanager
+def _collector_paused():
+    """Build, save and load allocate about a million containers that all live
+    until the call ends; pausing the cyclic collector spares rescanning them."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+@_collector_paused()
 def build_distance_map(graph: ProgramGraph) -> StaticDistanceMap:
-    """All-pairs dff over the weighted direct-call graph (Dijkstra per source)."""
+    """All-pairs dff over the weighted direct calls: one Dijkstra row per source."""
     weights = dict(graph.call_weights)
     adj: dict[int, list[tuple[int, int]]] = {f.id: [] for f in graph.functions}
     for (a, b), w in sorted(weights.items()):
         if w is not None:
             adj[a].append((b, w))
-
-    dff: dict = {}
-    for src in sorted(adj):
-        for dst, d in shortest_paths(adj, [src]).items():
-            dff[(src, dst)] = d
-    return StaticDistanceMap(built_from=graph_hash(graph), weights=weights, dff=dff)
+    rows = tuple(shortest_paths(adj, [src]) for src in range(graph.n_functions))
+    return StaticDistanceMap(built_from=graph_hash(graph), weights=weights, rows=rows)
 
 
 def harmonic_distance(trace, targets: list[Target], graph: ProgramGraph) -> float:
@@ -120,18 +159,20 @@ def harmonic_distance(trace, targets: list[Target], graph: ProgramGraph) -> floa
 MAP_FIELDS = ("built_from", "weights", "dff")
 
 
+@_collector_paused()
 def save_distance_map(dmap: StaticDistanceMap, path: str) -> None:
     data = {
         "built_from": dmap.built_from,
         "weights": [
             [a, b, w] for (a, b), w in sorted(dmap.weights.items()) if w is not None
         ],
-        "dff": [[a, b, d] for (a, b), d in sorted(dmap.dff.items())],
+        "dff": [[a, b, row[b]] for a, row in enumerate(dmap.rows) for b in sorted(row)],
     }
     with open(path, "wb") as fh:
         fh.write(canonical_json(data))
 
 
+@_collector_paused()
 def load_distance_map(path: str, graph: ProgramGraph) -> StaticDistanceMap:
     """Load a saved map, rejecting anything save_distance_map cannot write.
 
@@ -141,18 +182,6 @@ def load_distance_map(path: str, graph: ProgramGraph) -> StaticDistanceMap:
     pair, or a weight for a non-call edge.
     """
 
-    # The parse allocates millions of containers that all survive; pausing
-    # the cyclic collector meanwhile saves it from rescanning them.
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return _load_distance_map(path, graph)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-
-
-def _load_distance_map(path: str, graph: ProgramGraph) -> StaticDistanceMap:
     def not_an_integer(text):
         raise DistanceMapError(f"{path}: number {text} is not an integer")
 
@@ -168,16 +197,17 @@ def _load_distance_map(path: str, graph: ProgramGraph) -> StaticDistanceMap:
             f"match the supplied graph ({expected[:12]}...)"
         )
     weights: dict = {pair: None for pair in sorted(graph.call_edges)}
-    for (a, b), w in _rows(path, "weights", data["weights"], graph).items():
-        if (a, b) not in weights:
-            raise DistanceMapError(f"{path}: weight for non-call-edge ({a},{b})")
-        weights[(a, b)] = w
-    dff = _rows(path, "dff", data["dff"], graph)
-    return StaticDistanceMap(built_from=data["built_from"], weights=weights, dff=dff)
+    for a, row in enumerate(_rows(path, "weights", data["weights"], graph)):
+        for b, w in row.items():
+            if (a, b) not in weights:
+                raise DistanceMapError(f"{path}: weight for non-call-edge ({a},{b})")
+            weights[(a, b)] = w
+    rows = _rows(path, "dff", data["dff"], graph)
+    return StaticDistanceMap(built_from=data["built_from"], weights=weights, rows=rows)
 
 
-def _rows(path: str, name: str, rows, graph: ProgramGraph) -> dict:
-    """{(a, b): d} from [a, b, d] rows: two function ids and a distance >= 0.
+def _rows(path: str, name: str, rows, graph: ProgramGraph) -> tuple:
+    """{b: d} per function a from [a, b, d] rows: two ids and a distance >= 0.
 
     Each check is one C-speed pass over a column, so a valid map loads
     nearly as fast as an unchecked one; only a failing map pays for the
@@ -186,10 +216,12 @@ def _rows(path: str, name: str, rows, graph: ProgramGraph) -> dict:
     """
     if not isinstance(rows, list):
         raise DistanceMapError(f"{path}: field '{name}' is not a list")
+    table: defaultdict = defaultdict(dict)
     try:
-        table = {(a, b): d for a, b, d in rows}
         # Every element, not the deduplicated ids: True == 1 would hide there.
         ok = set(map(type, chain.from_iterable(rows))) <= {int}
+        for a, b, d in rows:
+            table[a][b] = d
     except (TypeError, ValueError):  # a row of the wrong length, or a list id
         ok = False
     if not ok:
@@ -198,12 +230,12 @@ def _rows(path: str, name: str, rows, graph: ProgramGraph) -> dict:
             if not isinstance(r, list) or len(r) != 3 or {type(x) for x in r} != {int}
         )
         raise DistanceMapError(f"{path}: {name} row {bad!r} is not three integers")
-    if len(table) != len(rows):
+    if sum(map(len, table.values())) != len(rows):
         raise DistanceMapError(f"{path}: {name} has two rows for one function pair")
-    if min(table.values(), default=0) < 0:
-        bad = next([a, b, d] for (a, b), d in table.items() if d < 0)
+    if min((min(row.values()) for row in table.values()), default=0) < 0:
+        bad = next(r for r in rows if r[2] < 0)
         raise DistanceMapError(f"{path}: {name} row {bad} has a negative distance")
-    unknown = set(chain.from_iterable(table)) - {f.id for f in graph.functions}
+    unknown = set(table).union(*table.values()) - set(range(graph.n_functions))
     if unknown:
         raise DistanceMapError(f"{path}: {name} names unknown function {min(unknown)}")
-    return table
+    return tuple(table[a] for a in range(graph.n_functions))

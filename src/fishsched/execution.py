@@ -84,9 +84,10 @@ def dsf(seed: Seed, fid: int, dmap: StaticDistanceMap) -> Optional[int]:
 def dsf_of_functions(funcs, fid: int, dmap: StaticDistanceMap) -> Optional[int]:
     if fid in funcs:
         return 0
+    rows = dmap.rows
     best: Optional[int] = None
     for fs in funcs:
-        d = dmap.dff_value(fs, fid)
+        d = rows[fs].get(fid)
         if d is not None and (best is None or d < best):
             best = d
     return best

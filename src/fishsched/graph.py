@@ -150,6 +150,11 @@ class ProgramGraph:
         return MappingProxyType(out)
 
     @cached_property
+    def content_hash(self) -> str:
+        """SHA-256 of the canonical serialization: what a map is built from."""
+        return hashlib.sha256(canonical_bytes(self)).hexdigest()
+
+    @cached_property
     def call_successors(self) -> MappingProxyType:
         """Function id -> sorted callees over the static (direct-call) graph."""
         return _successors(self.functions, self.call_edges)
@@ -436,7 +441,7 @@ def canonical_bytes(graph: ProgramGraph) -> bytes:
 
 
 def graph_hash(graph: ProgramGraph) -> str:
-    return hashlib.sha256(canonical_bytes(graph)).hexdigest()
+    return graph.content_hash
 
 
 def save_program(graph: ProgramGraph, path: str) -> None:

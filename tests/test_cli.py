@@ -543,6 +543,10 @@ BAD_INPUTS = {
         lambda tmp, g: _distance(tmp, g, "--multi", _trace(tmp), "77777"),
         "fishsched: unknown target id 77777\n",
     ),
+    "multi naming no target": (
+        lambda tmp, g: _distance(tmp, g, "--multi", _trace(tmp), ","),
+        "fishsched: --multi names no target: ','\n",
+    ),
     "harmonic of a trace reaching an unknown target": (
         lambda tmp, g: _distance(tmp, g, "--harmonic", _trace(tmp, reached="77777")),
         "fishsched: unknown target id 77777\n",

@@ -1,0 +1,64 @@
+"""The per-source rows of the static distance map against networkx, and the
+saved bytes of the standard graph's map."""
+
+import hashlib
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fishsched.distance import build_distance_map, load_distance_map, save_distance_map
+from fishsched.graph import graph_from_dict
+from fishsched.simulator import standard_graph
+from oracles import oracle_weights, random_graph_dict
+
+nx = pytest.importorskip("networkx")
+
+# SHA-256 of save_distance_map(build_distance_map(standard_graph())).
+STANDARD_MAP_SHA256 = "5883fb365bf5ea4f4afab0627bab3ce6edf9491b3454e41ebbb9618cb836bd7b"
+
+
+def networkx_dff(graph) -> dict:
+    """{(a, b): d} by networkx Dijkstra over the direct calls of finite weight,
+    the weights taken from the Bellman-Ford block oracle."""
+    g = nx.DiGraph()
+    g.add_nodes_from(range(graph.n_functions))
+    for (a, b), w in oracle_weights(graph).items():
+        if w is not None:
+            g.add_edge(a, b, weight=w)
+    return {
+        (a, b): d
+        for a, lengths in nx.all_pairs_dijkstra_path_length(g)
+        for b, d in lengths.items()
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_dff_rows_match_networkx(rng):
+    graph = graph_from_dict(random_graph_dict(rng, max_functions=12))
+    dmap = build_distance_map(graph)
+    expected = networkx_dff(graph)
+    assert dict(dmap.dff) == expected
+    assert len(dmap.dff) == len(expected)
+
+    n = graph.n_functions
+    for a, b in [(n, 0), (0, n), (-1, 0), (n + 5, n)]:
+        assert dmap.dff_value(a, b) is None
+        assert (a, b) not in dmap.dff
+    assert dmap.dff_value(n, n) == 0
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "g.map")
+        save_distance_map(dmap, path)
+        loaded = load_distance_map(path, graph)
+    assert loaded.dff == dmap.dff
+    assert loaded == dmap
+
+
+def test_standard_map_bytes_are_pinned(tmp_path):
+    path = tmp_path / "standard.map"
+    save_distance_map(build_distance_map(standard_graph()), str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == STANDARD_MAP_SHA256
