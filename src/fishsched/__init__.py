@@ -25,11 +25,9 @@ from .distance import (
 from .execution import (
     ExecutionTrace,
     Seed,
-    TargetDistanceVector,
     dsf,
     multi_target_distance,
     parse_trace_line,
-    trace_dump_line,
 )
 from .ranking import (
     TargetRanking,

@@ -34,6 +34,7 @@ from .simulator import (
     SCHEDULERS,
     SpecError,
     SyntheticProgramSpec,
+    check_campaign_graph,
     generate_program,
     run_campaign,
     standard_scheduler_config,
@@ -174,8 +175,6 @@ def cmd_simulate(args) -> None:
         graph = load_program(args.graph)
     else:
         graph = generate_program(_spec_from_file(args.spec))
-    if "harmonic_directed" in schedulers and not graph.targets():
-        raise InputError("harmonic_directed needs a graph with targets")
 
     # Every campaign is configured, and so validated, before anything is written.
     if args.seeds < 1:
@@ -195,6 +194,8 @@ def cmd_simulate(args) -> None:
             for scheduler in schedulers
             for k in range(args.seeds)
         ]
+        for scheduler in schedulers:
+            check_campaign_graph(graph, scheduler)
     except ValueError as exc:
         raise InputError(exc.args[0]) from None
 

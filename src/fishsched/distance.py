@@ -60,9 +60,6 @@ class StaticDistanceMap:
     def dff(self) -> Mapping:
         return _PairView(self.rows)
 
-    def weight_value(self, caller: int, callee: int) -> Optional[int]:
-        return self.weights.get((caller, callee))
-
     def dff_value(self, fa: int, fb: int) -> Optional[int]:
         if fa == fb:
             return 0

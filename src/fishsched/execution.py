@@ -45,26 +45,6 @@ class Seed:
             raise ValueError("size must be positive")
 
 
-@dataclass(frozen=True)
-class TargetDistanceVector:
-    """Per-target distances, ordered like the queried target list.
-
-    An entry of None means the target's function is statically unreachable
-    from every traversed function.
-    """
-
-    entries: dict
-
-    def __getitem__(self, target_id: int):
-        return self.entries[target_id]
-
-    def values(self) -> list:
-        return list(self.entries.values())
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
 def traversed_functions(trace: ExecutionTrace) -> frozenset:
     # Every execution enters the program entry; a trace that recorded
     # nothing (crash at entry) still counts the entry function.
@@ -99,36 +79,28 @@ def multi_target_distance(
     ranking,
     dmap: StaticDistanceMap,
     graph: ProgramGraph,
-) -> TargetDistanceVector:
+) -> dict[int, Optional[int]]:
     """Seed-to-target distance vector; precision independent of set size.
 
-    A triggered target contributes zero regardless of the seed; untriggered
-    entries are the seed's distance to the target's owner function.
+    Returns {target id: distance} in the order of targets. A triggered
+    target contributes zero regardless of the seed; an untriggered one is
+    the seed's distance to the target's owner function, None when no
+    traversed function reaches it statically.
     """
     funcs = traversed_functions(seed.trace)
-    entries: dict = {}
+    entries: dict[int, Optional[int]] = {}
     for tid in targets:
         target = graph.target(tid)
         if ranking.state(tid).triggered:
             entries[tid] = 0
         else:
             entries[tid] = dsf_of_functions(funcs, target.function, dmap)
-    return TargetDistanceVector(entries=entries)
+    return entries
 
 
 # ---------------------------------------------------------------------------
-# Trace dump (debugging and golden tests)
+# Trace files: "id; exec_time; size; functions=..; reached=..; triggered=.."
 # ---------------------------------------------------------------------------
-
-
-def trace_dump_line(seed: Seed) -> str:
-    t = seed.trace
-    return (
-        f"{seed.id}; {seed.exec_time}; {seed.size}; "
-        f"functions={_ids(t.functions)}; "
-        f"reached={_ids(t.targets_reached)}; "
-        f"triggered={_ids(t.targets_triggered)}"
-    )
 
 
 def parse_trace_line(line: str) -> Seed:
@@ -149,7 +121,3 @@ def parse_trace_line(line: str) -> Seed:
         targets_triggered=fields["triggered"],
     )
     return Seed(id=sid, exec_time=exec_time, size=size, trace=trace)
-
-
-def _ids(values) -> str:
-    return ",".join(str(v) for v in sorted(values))

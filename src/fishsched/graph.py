@@ -477,17 +477,6 @@ def dbb(function: Function, src: int, dst: int) -> Optional[int]:
     return dbb_from(function, src).get(dst)
 
 
-def unreachable_blocks(graph: ProgramGraph) -> dict[int, list[int]]:
-    """Blocks not reachable from their function's entry, flagged per function."""
-    flagged: dict[int, list[int]] = {}
-    for f in graph.functions:
-        seen = bfs_hops({b.id: b.successors for b in f.blocks}, [f.entry])
-        missing = sorted(b.id for b in f.blocks if b.id not in seen)
-        if missing:
-            flagged[f.id] = missing
-    return flagged
-
-
 def shortest_paths(adj, sources) -> dict[int, int]:
     """Least total weight from any source to every reachable node (Dijkstra).
 

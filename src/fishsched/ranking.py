@@ -37,7 +37,6 @@ class TargetRanking:
 
     def __init__(self, graph: ProgramGraph) -> None:
         self._states = {t.id: TargetState() for t in graph.targets()}
-        self.epoch = 0
 
     def state(self, target_id: int) -> TargetState:
         try:
@@ -50,7 +49,6 @@ class TargetRanking:
 
     def record_execution(self, trace: ExecutionTrace, now: int) -> UpdateSummary:
         """Fold one execution into the ranking; returns the novelty counts."""
-        self.epoch += 1
         new_reached = 0
         new_triggered = 0
         for tid in sorted(trace.targets_reached):
@@ -92,24 +90,6 @@ def reached_untriggered(
 def order_by_hits(ids: list[int], ranking: TargetRanking) -> list[int]:
     """Least-hit first; ties broken on the smaller target id."""
     return sorted(ids, key=lambda tid: (ranking.state(tid).hits, tid))
-
-
-def energy_rows(ranking: TargetRanking) -> list[tuple]:
-    """Rows for the energy report CSV, ascending by target id."""
-    rows = []
-    for tid in ranking.target_ids():
-        st = ranking.state(tid)
-        rows.append(
-            (
-                tid,
-                st.hits,
-                int(st.reached),
-                int(st.triggered),
-                "" if st.first_reached_at is None else st.first_reached_at,
-                "" if st.first_triggered_at is None else st.first_triggered_at,
-            )
-        )
-    return rows
 
 
 def energy_series(hits_by_target: dict) -> list[tuple[int, int]]:

@@ -62,11 +62,10 @@ class SchedulerConfig:
     w_trigger: float = 60 * TICKS_PER_VIRTUAL_MINUTE
     exploit_fraction: float = 0.20
     exploit_include_triggered: bool = False
-    exploit_timeout_to: Phase = Phase.INTER_EXPLORE
 
     def __post_init__(self) -> None:
         for name in ("w_function", "w_reach", "w_trigger"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:  # NaN fails too; inf never times out
                 raise ValueError(f"{name} must be non-negative")
         if not 0 < self.exploit_fraction <= 1:
             raise ValueError("exploit_fraction must be in (0, 1]")
@@ -267,7 +266,7 @@ def phase_step(
             return Phase.EXPLOIT
     elif phase is Phase.EXPLOIT:
         if now - clock.last_new_target_triggered >= cfg.w_trigger:
-            return cfg.exploit_timeout_to
+            return Phase.INTER_EXPLORE
     return phase
 
 

@@ -338,38 +338,44 @@ class CampaignConfig:
 
 
 # Checks of result-file values. A type must match exactly, so a JSON true
-# is no integer.
+# is no integer. Every integer but rng_seed is an id, a tick or a count,
+# so it must not be negative.
 
 
 def _checked(check):
     return field(metadata={"check": check})
 
 
+def _value_ok(t, v) -> bool:
+    return type(v) is t and (t is not int or v >= 0)
+
+
 def _is(t):
-    return _checked(lambda v: type(v) is t)
+    return _checked(lambda v: _value_ok(t, v))
 
 
 def _list_of(t):
-    return _checked(lambda v: type(v) is list and all(type(x) is t for x in v))
+    return _checked(lambda v: type(v) is list and all(_value_ok(t, x) for x in v))
 
 
 def _rows(*types):
     """A list of rows, each a list whose items have exactly these types."""
     return _checked(lambda v: type(v) is list and all(
-        type(r) is list and list(map(type, r)) == list(types) for r in v
+        type(r) is list and len(r) == len(types) and all(map(_value_ok, types, r))
+        for r in v
     ))
 
 
 def _counts(key_ok=lambda k: True):
     """An object with integer values, each key passing key_ok."""
     return _checked(lambda v: type(v) is dict and all(
-        key_ok(k) and type(n) is int for k, n in v.items()
+        key_ok(k) and _value_ok(int, n) for k, n in v.items()
     ))
 
 
 def _decimal_id(key: str) -> bool:
     try:
-        return str(int(key)) == key
+        return str(int(key)) == key and int(key) >= 0
     except ValueError:
         return False
 
@@ -379,7 +385,7 @@ class CampaignResult:
     """One campaign's outcome; each field carries the check of its file value."""
 
     scheduler: str = _is(str)
-    rng_seed: int = _is(int)
+    rng_seed: int = _checked(lambda v: type(v) is int)  # --seed-base may be negative
     graph_hash: str = _is(str)
     duration: int = _is(int)
     series: list = _rows(int, int, int, int)  # [tick, covered, reached, triggered]
@@ -405,10 +411,18 @@ class CampaignResult:
         for f in fields(cls):
             if not f.metadata["check"](data[f.name]):
                 raise InputError(
-                    f"{where}: field {f.name!r} has the wrong type or shape"
+                    f"{where}: field {f.name!r} has the wrong type, shape or sign"
                 )
         data["target_hits"] = {int(k): v for k, v in data["target_hits"].items()}
         return cls(**data)
+
+
+def check_campaign_graph(graph: ProgramGraph, scheduler: str) -> None:
+    """Raise ValueError when no campaign of this scheduler can run on graph."""
+    if not graph.functions:  # every execution starts at the entry function
+        raise ValueError("a campaign needs a graph with at least one function")
+    if scheduler == "harmonic_directed" and not graph.targets():
+        raise ValueError("harmonic_directed needs a graph with targets")
 
 
 def run_campaign(graph: ProgramGraph, config: CampaignConfig) -> CampaignResult:
@@ -424,9 +438,8 @@ def run_campaign_with_queue(graph: ProgramGraph, config: CampaignConfig):
     cfg = config.scheduler_config
     policy = config.scheduler
 
+    check_campaign_graph(graph, policy)
     all_targets = graph.targets()
-    if policy == "harmonic_directed" and not all_targets:
-        raise ValueError("harmonic_directed needs a graph with targets")
     dmap = build_distance_map(graph) if policy == "fishfuzz" else None
 
     ranking = TargetRanking(graph)

@@ -232,6 +232,22 @@ def test_simulate_seed_base_names_the_first_seed(tmp_path, capsys, small_graph_f
     assert [p.name for p in out.iterdir()] == ["result_round_robin_33.json"]
 
 
+def test_result_of_a_negative_seed_loads(tmp_path, capsys, small_graph_file):
+    out = tmp_path / "based"
+    code, _stdout, stderr = run_cli(
+        capsys, "simulate", "--graph", small_graph_file, "--scheduler", "round_robin",
+        "--duration", "20", "--seed-base", "-3", "--out", str(out),
+    )
+    assert code == 0 and stderr == ""
+    (result,) = out.iterdir()
+    assert result.name == "result_round_robin_-3.json"
+    code, _stdout, stderr = run_cli(
+        capsys, "report", "--kind", "growth", "--out", str(tmp_path / "g.csv"),
+        str(result),
+    )
+    assert code == 0 and stderr == ""
+
+
 def test_simulate_requires_spec_or_graph(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--scheduler", "fishfuzz", "--out", str(tmp_path / "x")])
@@ -422,6 +438,17 @@ BAD_INPUTS = {
         lambda tmp, g: ["simulate", "--graph", g, "--duration", "-5"],
         "duration must be non-negative",
     ),
+    # A NaN timeout compares false with every clock, so it would never fire.
+    **{f"{flag} of NaN": (
+        lambda tmp, g, flag=flag: ["simulate", "--graph", g, flag, "nan"],
+        f"{flag[2:].replace('-', '_')} must be non-negative",
+    ) for flag in ("--w-function", "--w-reach", "--w-trigger")},
+    # Every campaign starts at the entry function.
+    "campaign on a graph without functions": (
+        lambda tmp, g: ["simulate", "--graph", _write(tmp / "empty.json", {"functions": []}),
+                        "--scheduler", "round_robin", "--duration", "2"],
+        "fishsched: a campaign needs a graph with at least one function\n",
+    ),
     "zero executions per tick": (
         lambda tmp, g: ["simulate", "--graph", g, "--executions-per-tick", "0"],
         "executions_per_tick must be at least 1",
@@ -458,6 +485,20 @@ BAD_INPUTS = {
                         _result_without(tmp, g, "rng_seed")],
         "partial.json: not a campaign result: missing field 'rng_seed'",
     ),
+    # Ids, ticks and counts in a result are never negative.
+    **{f"result with a negative {name}": (
+        lambda tmp, g, fields=fields: ["report", "--kind", "energy",
+                                       "--out", str(tmp / "out"),
+                                       _result_with(tmp, g, **fields)],
+        f"field {next(iter(fields))!r} has the wrong type, shape or sign",
+    ) for name, fields in {
+        "target id": {"target_hits": {"-1": 3}},
+        "hit count": {"target_hits": {"0": -3}},
+        "triggered target": {"triggered_targets": [-5]},
+        "duration": {"duration": -7},
+        "series tick": {"series": [[-1, 0, 0, 0]]},
+        "phase timeline tick": {"phase_timeline": [[-1, "exploit", "timeout"]]},
+    }.items()},
     "map weight row of two fields": (
         lambda tmp, g: ["distance", "--graph", g, "--dff", "0", "1",
                         "--map", _map_with_short_weight_row(tmp, g)],

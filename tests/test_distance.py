@@ -89,8 +89,8 @@ def test_dff_chain_sums_weights(chain_graph):
     assert oracle_dff(chain_graph)[(0, 2)] == 3
 
     dmap = build_distance_map(chain_graph)
-    assert dmap.weight_value(0, 1) == 1
-    assert dmap.weight_value(1, 2) == 2
+    assert dmap.weights[(0, 1)] == 1
+    assert dmap.weights[(1, 2)] == 2
     assert dmap.dff_value(0, 2) == 3
 
 
@@ -242,7 +242,7 @@ def test_infinite_weights_reconstructed_on_load(tmp_path):
         }
     )
     dmap = build_distance_map(g)
-    assert dmap.weight_value(0, 1) is None
+    assert dmap.weights[(0, 1)] is None
     path = tmp_path / "inf.map"
     save_distance_map(dmap, str(path))
     loaded = load_distance_map(str(path), g)

@@ -18,7 +18,6 @@ from fishsched.graph import (
     load_program,
     save_program,
     shortest_paths,
-    unreachable_blocks,
 )
 from conftest import linear_block, make_graph
 from oracles import all_path_conditional_cost, oracle_dbb, random_graph_dict
@@ -255,7 +254,6 @@ def test_dbb_unreachable_is_none():
         }
     )
     assert dbb(g.function(0), 0, 1) is None
-    assert unreachable_blocks(g) == {0: [1]}
 
 
 def test_dbb_entry_to_entry_zero_for_random_graphs():

@@ -6,7 +6,6 @@ from fishsched.execution import ExecutionTrace
 from fishsched.graph import graph_from_dict
 from fishsched.ranking import (
     TargetRanking,
-    energy_rows,
     energy_series,
     order_by_hits,
     reached_untriggered,
@@ -69,14 +68,6 @@ def test_unknown_target_in_trace_raises():
     r = TargetRanking(graph_with_targets(1))
     with pytest.raises(KeyError):
         r.record_execution(trace(reached=[9]), now=1)
-
-
-def test_epoch_strictly_increases():
-    r = TargetRanking(graph_with_targets(1))
-    e0 = r.epoch
-    r.record_execution(trace(), now=1)
-    r.record_execution(trace(reached=[0]), now=2)
-    assert r.epoch == e0 + 2
 
 
 def test_reached_untriggered_variants():
@@ -151,13 +142,7 @@ def test_hits_equal_reaching_executions_exact_replay():
         assert r.state(t).reached == (expected[t] >= 1)
 
 
-def test_energy_rows_and_series():
-    r = TargetRanking(graph_with_targets(3))
-    r.record_execution(trace(reached=[1], triggered=[1]), now=2)
-    r.record_execution(trace(reached=[1]), now=3)
-    rows = energy_rows(r)
-    assert rows[0] == (0, 0, 0, 0, "", "")
-    assert rows[1] == (1, 2, 1, 1, 2, 2)
+def test_energy_series():
     series = energy_series({0: 0, 1: 2, 2: 0})
     assert series == [(1, 2), (2, 0), (3, 0)]
     assert all(series[i][1] >= series[i + 1][1] for i in range(len(series) - 1))

@@ -389,15 +389,6 @@ def test_exploit_times_out_after_an_hour():
     )
 
 
-def test_exploit_timeout_destination_configurable():
-    cfg = SchedulerConfig(exploit_timeout_to=Phase.INTRA_EXPLORE)
-    clock = PhaseClock()
-    assert (
-        phase_step(Phase.EXPLOIT, clock, mins(60), cfg, UpdateSummary())
-        is Phase.INTRA_EXPLORE
-    )
-
-
 def test_degenerate_zero_timeouts_cycle():
     cfg = SchedulerConfig(w_function=0, w_reach=0, w_trigger=0)
     clock = PhaseClock()

@@ -351,6 +351,18 @@ def test_harmonic_directed_without_targets_fails_before_executing(monkeypatch):
         run_campaign_with_queue(weight0_chain(1), config)
 
 
+def test_empty_graph_fails_before_executing(monkeypatch):
+    def no_execution(*args):
+        raise AssertionError("an input was executed")
+
+    monkeypatch.setattr(simulator, "execute_mutation", no_execution)
+    empty = graph_from_dict({"functions": []})
+    for sched in simulator.SCHEDULERS:
+        config = CampaignConfig(scheduler=sched, duration=5)
+        with pytest.raises(ValueError, match="at least one function"):
+            run_campaign_with_queue(empty, config)
+
+
 def test_result_json_round_trip():
     g = small_world()
     r = run_campaign(g, CampaignConfig(scheduler="afl_favor", duration=100, rng_seed=4))
