@@ -150,7 +150,10 @@ def _spec_from_file(path: str) -> SyntheticProgramSpec:
             ok = type(value) is int or type(value) is float and math.isfinite(value)
         if not ok:
             raise SpecError(f"{path}: field '{key}' has the wrong type: {value!r}")
-    return SyntheticProgramSpec(**kwargs)
+    try:
+        return SyntheticProgramSpec(**kwargs)
+    except SpecError as exc:
+        raise SpecError(f"{path}: {exc}") from None
 
 
 def _scheduler_config(args) -> SchedulerConfig:
@@ -245,8 +248,6 @@ def _phase_bands(result: CampaignResult) -> list[list]:
         if phase != current:
             bands.append([t, phase])
             current = phase
-    if not bands:
-        bands.append([0, "inter_explore"])
     return bands
 
 

@@ -369,9 +369,14 @@ def load_program(path: str) -> ProgramGraph:
     """Load and validate a program graph file.
 
     Raises ParseError with field diagnostics on malformed input and
-    ValidationError naming the violated invariant on inconsistent input.
+    ValidationError naming the violated invariant on inconsistent input;
+    either message begins with the path.
     """
-    return graph_from_dict(read_json(path, ParseError))
+    data = read_json(path, ParseError)
+    try:
+        return graph_from_dict(data)
+    except GraphError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -4,14 +4,15 @@ A fishfuzz campaign widens first (inter-function exploration favors the
 seed closest to each unexplored function that contains targets), then
 tests reached code (plain coverage culling), then narrows onto the
 least-hit reached targets (exploitation). afl_favor uses only the coverage
-cull and harmonic_directed only harmonic_cull. Every cull pass clears all
-favor flags before setting any, so favors never leak across phases.
+cull and harmonic_directed only harmonic_cull. Each cull folds, then
+picks: its last step hands the ids it favors to _favor_only, the one
+writer of Seed.favor, so favors never leak across phases.
 
 The coverage, exploitation and harmonic culls keep their per-key best
 seed in a BestSeeds state that folds in only the seeds queued since the
 last call, the way AFL updates top_rated once per admitted seed. The
-closest-seed scan by dsf is _favor_closest, shared by the inter-function
-cull and the exploitation fallback.
+closest-seed scan by dsf is _closest, shared by the inter-function cull
+and the exploitation fallback.
 """
 
 from __future__ import annotations
@@ -87,9 +88,10 @@ class FunctionExplorationState:
         return sorted(self.has_targets - self.explored)
 
 
-def _clear_favors(queue: list[Seed]) -> None:
+def _favor_only(queue: list[Seed], ids) -> None:
+    """The one writer of Seed.favor: favor the seeds whose id is in ids, no other."""
     for s in queue:
-        s.favor = False
+        s.favor = s.id in ids
 
 
 @dataclass
@@ -119,24 +121,21 @@ class BestSeeds:
         return best
 
 
-def _favor_closest(queue: list[Seed], fid: int, dsf_fn) -> None:
-    """Favor the seed nearest function fid by dsf.
+def _closest(queue: list[Seed], fid: int, dsf_fn) -> Optional[int]:
+    """The id of the seed nearest function fid by dsf.
 
-    Ties on distance go to the faster, then the older seed. Marks no one
-    when no seed has a finite distance.
+    Ties on distance go to the faster, then the older seed. None when no
+    seed has a finite distance.
     """
     best = None
-    best_key = None
     for s in queue:
         d = dsf_fn(s, fid)
         if d is None:
             continue
         key = (d, s.exec_time, s.id)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = s
-    if best is not None:
-        best.favor = True
+        if best is None or key < best:
+            best = key
+    return None if best is None else best[2]
 
 
 def inter_function_cull(
@@ -145,12 +144,13 @@ def inter_function_cull(
     dmap: StaticDistanceMap,
     dsf_fn: Optional[Callable[[Seed, int], Optional[int]]] = None,
 ) -> None:
-    """Favor the closest seed (_favor_closest) for each unexplored target function."""
-    _clear_favors(queue)
+    """Favor the closest seed (_closest) for each unexplored target function."""
     if dsf_fn is None:
         dsf_fn = lambda s, fid: dsf(s, fid, dmap)
+    closest = set()
     for fid in fstate.unexplored_target_functions():
-        _favor_closest(queue, fid, dsf_fn)
+        closest.add(_closest(queue, fid, dsf_fn))
+    _favor_only(queue, closest)
 
 
 def serviced_targets(ranking: TargetRanking, cfg: SchedulerConfig) -> list[int]:
@@ -185,7 +185,6 @@ def exploitation_cull(
     state carries the fastest reaching seed per target across calls on one
     growing queue; without it the whole queue is folded afresh.
     """
-    _clear_favors(queue)
     if dsf_fn is None:
         dsf_fn = lambda s, fid: dsf(s, fid, dmap)
     if state is None:
@@ -194,13 +193,15 @@ def exploitation_cull(
         queue, lambda s: s.trace.targets_reached, lambda s: (s.exec_time, s.id)
     )
     serviced = serviced_targets(ranking, cfg)
+    favored = set()
     for tid in serviced:
         hit = reaching.get(tid)
         if hit is not None:
-            hit[1].favor = True
+            favored.add(hit[1].id)
             continue
         # No queued seed reaches tid, so every seed competes on distance.
-        _favor_closest(queue, graph.target(tid).function, dsf_fn)
+        favored.add(_closest(queue, graph.target(tid).function, dsf_fn))
+    _favor_only(queue, favored)
     return serviced
 
 
@@ -212,12 +213,10 @@ def harmonic_cull(
     state holds the nearest seed of the queue folded so far, so distance_fn
     runs once per seed; a fresh BestSeeds() folds the whole queue.
     """
-    _clear_favors(queue)
     nearest = state.fold(
         queue, lambda s: (None,), lambda s: (distance_fn(s), s.exec_time, s.id)
     )
-    if nearest:
-        nearest[None][1].favor = True
+    _favor_only(queue, {nearest[None][1].id} if nearest else set())
 
 
 def intra_function_cull(queue: list[Seed], state: Optional[BestSeeds] = None) -> None:
@@ -228,19 +227,20 @@ def intra_function_cull(queue: list[Seed], state: Optional[BestSeeds] = None) ->
     carried across calls on one growing queue; without it the whole queue
     is folded afresh.
     """
-    _clear_favors(queue)
     if state is None:
         state = BestSeeds()
     top_rated = state.fold(
         queue, lambda s: s.trace.edges, lambda s: (s.exec_time * s.size, s.id)
     )
     claimed: set = set()
+    winners = set()
     for e in sorted(top_rated):
         if e in claimed:
             continue
         winner = top_rated[e][1]
-        winner.favor = True
+        winners.add(winner.id)
         claimed.update(winner.trace.edges)
+    _favor_only(queue, winners)
 
 
 def phase_step(

@@ -380,6 +380,11 @@ def _decimal_id(key: str) -> bool:
         return False
 
 
+# What a phase timeline row may record: the campaign start, each kind of
+# novelty, and a phase change without novelty.
+TIMELINE_EVENTS = ("start", "new_function", "new_reach", "new_trigger", "timeout")
+
+
 @dataclass
 class CampaignResult:
     """One campaign's outcome; each field carries the check of its file value."""
@@ -414,7 +419,41 @@ class CampaignResult:
                     f"{where}: field {f.name!r} has the wrong type, shape or sign"
                 )
         data["target_hits"] = {int(k): v for k, v in data["target_hits"].items()}
-        return cls(**data)
+        result = cls(**data)
+        fault = result._contradiction()
+        if fault is not None:
+            raise InputError(f"{where}: {fault}")
+        return result
+
+    def _contradiction(self) -> str | None:
+        """The first rule tying fields together that this result breaks, or None."""
+        if self.scheduler not in SCHEDULERS:
+            return f"scheduler {self.scheduler!r} is not one of {list(SCHEDULERS)}"
+        start = [0, Phase.INTER_EXPLORE.value, "start"]
+        if self.phase_timeline[:1] != [start]:
+            return f"phase_timeline does not begin with {start}"
+        phases = {p.value for p in Phase}
+        previous = 0
+        for tick, phase, event in self.phase_timeline:
+            if tick < previous:
+                return f"phase_timeline tick {tick} comes after tick {previous}"
+            if tick > self.duration:
+                return f"phase_timeline tick {tick} is past duration {self.duration}"
+            if phase not in phases:
+                return f"phase_timeline names unknown phase {phase!r}"
+            if event not in TIMELINE_EVENTS:
+                return f"phase_timeline names unknown event {event!r}"
+            previous = tick
+        triggered = self.triggered_targets
+        if triggered != sorted(set(triggered)):
+            return "triggered_targets is not sorted and unique"
+        for tid in triggered:
+            if self.target_hits.get(tid, 0) == 0:
+                return f"triggered target {tid} has no hits in target_hits"
+        if len(triggered) != self.final_triggered:
+            return (f"triggered_targets lists {len(triggered)} targets, "
+                    f"final_triggered says {self.final_triggered}")
+        return None
 
 
 def check_campaign_graph(graph: ProgramGraph, scheduler: str) -> None:

@@ -499,6 +499,82 @@ BAD_INPUTS = {
         "series tick": {"series": [[-1, 0, 0, 0]]},
         "phase timeline tick": {"phase_timeline": [[-1, "exploit", "timeout"]]},
     }.items()},
+    # A result whose fields contradict each other does not load either.
+    **{f"result with {name}": (
+        lambda tmp, g, fields=fields: ["report", "--kind", "phases",
+                                       "--out", str(tmp / "out"),
+                                       _result_with(tmp, g, **fields)],
+        f"bad.json: not a campaign result: {expected}",
+    ) for name, (fields, expected) in {
+        "an unknown scheduler": (
+            {"scheduler": "alphabetical"},
+            "scheduler 'alphabetical' is not one of",
+        ),
+        "a timeline of a bogus phase and event": (
+            {"phase_timeline": [[0, "bogus", "nothing"], [5, "inter_explore", "x"]]},
+            "phase_timeline does not begin with [0, 'inter_explore', 'start']",
+        ),
+        "an empty timeline": (
+            {"phase_timeline": []},
+            "phase_timeline does not begin with",
+        ),
+        "a timeline tick that decreases": (
+            {"phase_timeline": [[0, "inter_explore", "start"],
+                                [5, "intra_explore", "timeout"],
+                                [3, "exploit", "timeout"]]},
+            "phase_timeline tick 3 comes after tick 5",
+        ),
+        "a timeline tick past the duration": (
+            {"phase_timeline": [[0, "inter_explore", "start"],
+                                [21, "exploit", "timeout"]]},
+            "phase_timeline tick 21 is past duration 20",
+        ),
+        "a timeline of an unknown phase": (
+            {"phase_timeline": [[0, "inter_explore", "start"], [5, "bogus", "timeout"]]},
+            "phase_timeline names unknown phase 'bogus'",
+        ),
+        "a timeline of an unknown event": (
+            {"phase_timeline": [[0, "inter_explore", "start"], [5, "exploit", "x"]]},
+            "phase_timeline names unknown event 'x'",
+        ),
+        "unsorted triggered targets": (
+            {"target_hits": {"0": 2, "1": 1}, "triggered_targets": [1, 0],
+             "final_triggered": 2},
+            "triggered_targets is not sorted and unique",
+        ),
+        "a triggered target listed twice": (
+            {"target_hits": {"0": 2}, "triggered_targets": [0, 0], "final_triggered": 2},
+            "triggered_targets is not sorted and unique",
+        ),
+        "a triggered target that is no target_hits key": (
+            {"triggered_targets": [99999]},
+            "triggered target 99999 has no hits in target_hits",
+        ),
+        "a triggered target without hits": (
+            {"target_hits": {"0": 0}, "triggered_targets": [0], "final_triggered": 1},
+            "triggered target 0 has no hits in target_hits",
+        ),
+        "more triggered targets than final_triggered": (
+            {"target_hits": {"0": 2}, "triggered_targets": [0], "final_triggered": 3},
+            "triggered_targets lists 1 targets, final_triggered says 3",
+        ),
+    }.items()},
+    # A graph or spec that parses but breaks a rule still names its file.
+    "graph with a negative entry": (
+        lambda tmp, g: ["analyze", "--graph", _graph_with(tmp, "entry", -1),
+                        "--out", str(tmp / "out")],
+        "bad_entry.graph: functions[0].entry: expected non-negative "
+        "integer, got -1\n",
+    ),
+    "graph calling an unknown function": (
+        lambda tmp, g: ["analyze", "--graph", _graph_with(tmp, "calls", [99]),
+                        "--out", str(tmp / "out")],
+        "bad_calls.graph: function 0: block 0 calls unknown function 99\n",
+    ),
+    "spec of an empty targets_per_function range": (
+        lambda tmp, g: _spec(tmp, targets_per_function=[3, 1]),
+        "s.spec: targets_per_function range must satisfy",
+    ),
     "map weight row of two fields": (
         lambda tmp, g: ["distance", "--graph", g, "--dff", "0", "1",
                         "--map", _map_with_short_weight_row(tmp, g)],

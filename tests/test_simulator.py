@@ -325,6 +325,25 @@ def test_admission_requires_novelty():
         reached |= s.trace.targets_reached
 
 
+@pytest.mark.parametrize("executions_per_tick", [1, 3])
+@pytest.mark.parametrize("scheduler", simulator.SCHEDULERS)
+def test_hit_targets_are_the_targets_queued_seeds_reach(scheduler, executions_per_tick):
+    # The first execution to reach a target has new_reached > 0, so it is
+    # queued, and the queue only grows. So in a campaign every serviced
+    # target has a queued seed reaching it, and exploitation_cull never
+    # falls back to its dsf scan.
+    g = generate_program(SyntheticProgramSpec(n_functions=40, rng_seed=7))
+    for seed in (1, 2, 3):
+        config = CampaignConfig(
+            scheduler=scheduler, duration=300, executions_per_tick=executions_per_tick,
+            rng_seed=seed, scheduler_config=simulator.standard_scheduler_config(),
+        )
+        result, queue = run_campaign_with_queue(g, config)
+        hit = {tid for tid, n in result.target_hits.items() if n > 0}
+        assert hit
+        assert hit == set().union(*(s.trace.targets_reached for s in queue))
+
+
 def test_first_input_is_queued_without_novelty():
     # One function of one block: the first trace covers no edge and reaches
     # no target, and is still queued as seed 0. harmonic_directed needs a
