@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 
@@ -26,18 +27,9 @@ def gini(values) -> float:
 
 
 def _midranks(values: list[float]) -> list[float]:
-    order = sorted(range(len(values)), key=lambda i: values[i])
-    ranks = [0.0] * len(values)
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        rank = (i + j) / 2 + 1
-        for k in range(i, j + 1):
-            ranks[order[k]] = rank
-        i = j + 1
-    return ranks
+    """Each value's mean 1-based position among its ties in sorted order."""
+    ordered = sorted(values)
+    return [(bisect_left(ordered, v) + 1 + bisect_right(ordered, v)) / 2 for v in values]
 
 
 def rank_sum_p(xs: list[float], ys: list[float]) -> float:
@@ -76,10 +68,7 @@ def rank_sum_p(xs: list[float], ys: list[float]) -> float:
         return count / math.comb(n1 + n2, n1)
 
     n = n1 + n2
-    tie_counts: dict[float, int] = {}
-    for v in pooled:
-        tie_counts[v] = tie_counts.get(v, 0) + 1
-    tie_term = sum(t**3 - t for t in tie_counts.values())
+    tie_term = sum(t**3 - t for t in Counter(pooled).values())
     var_u = n1 * n2 / 12 * ((n + 1) - tie_term / (n * (n - 1)))
     if var_u == 0:
         return 1.0
@@ -97,27 +86,26 @@ def never_hit_count(result: CampaignResult) -> int:
     return sum(1 for hits in result.target_hits.values() if hits == 0)
 
 
+# Each reported metric's value in one campaign, in text-table order.
+METRICS = {
+    "coverage": lambda r: r.final_coverage,
+    "reached": lambda r: r.final_reached,
+    "triggered": lambda r: r.final_triggered,
+    "never_hit": never_hit_count,
+    "gini": lambda r: gini(r.target_hits.values()),
+}
+# The metrics whose scheduler pairs get a delta and a rank-sum p-value.
+PAIRWISE = ("coverage", "reached", "triggered")
+
+
 @dataclass(frozen=True)
 class SchedulerAggregate:
     scheduler: str
     seeds: list
-    coverage: list
-    reached: list
-    triggered: list
-    never_hit: list
-    gini: list
+    values: dict  # metric -> its value in each campaign, in seed order
 
     def means(self) -> dict:
-        def mean(xs):
-            return sum(xs) / len(xs)
-
-        return {
-            "coverage": mean(self.coverage),
-            "reached": mean(self.reached),
-            "triggered": mean(self.triggered),
-            "never_hit": mean(self.never_hit),
-            "gini": mean(self.gini),
-        }
+        return {metric: sum(xs) / len(xs) for metric, xs in self.values.items()}
 
 
 @dataclass(frozen=True)
@@ -163,13 +151,8 @@ class ComparisonReport:
         return "\n".join(lines)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return format(value, ".10g")
-    return str(value)
-
-
-_METRICS = ("coverage", "reached", "triggered")
+def _fmt(value: float) -> str:
+    return format(value, ".10g")
 
 
 def compare_campaigns(results: list[CampaignResult]) -> ComparisonReport:
@@ -189,11 +172,7 @@ def compare_campaigns(results: list[CampaignResult]) -> ComparisonReport:
         aggregates[name] = SchedulerAggregate(
             scheduler=name,
             seeds=[r.rng_seed for r in rs],
-            coverage=[r.final_coverage for r in rs],
-            reached=[r.final_reached for r in rs],
-            triggered=[r.final_triggered for r in rs],
-            never_hit=[never_hit_count(r) for r in rs],
-            gini=[gini(list(r.target_hits.values())) for r in rs],
+            values={metric: [value(r) for r in rs] for metric, value in METRICS.items()},
         )
 
     names = sorted(aggregates)
@@ -205,13 +184,12 @@ def compare_campaigns(results: list[CampaignResult]) -> ComparisonReport:
     pairwise = {}
     for a, b in pairs:
         agg_a, agg_b = aggregates[a], aggregates[b]
+        means_a, means_b = agg_a.means(), agg_b.means()
         stats = {}
-        for metric in _METRICS:
-            xs = getattr(agg_a, metric)
-            ys = getattr(agg_b, metric)
+        for metric in PAIRWISE:
             stats[metric] = {
-                "delta": sum(xs) / len(xs) - sum(ys) / len(ys),
-                "p": rank_sum_p(xs, ys),
+                "delta": means_a[metric] - means_b[metric],
+                "p": rank_sum_p(agg_a.values[metric], agg_b.values[metric]),
             }
         pairwise[(a, b)] = stats
     return ComparisonReport(aggregates=aggregates, pairwise=pairwise)

@@ -10,6 +10,7 @@ way it would be at runtime.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass, field, fields, replace
 
 from .distance import build_distance_map, harmonic_distance
@@ -453,6 +454,28 @@ class CampaignResult:
         if len(triggered) != self.final_triggered:
             return (f"triggered_targets lists {len(triggered)} targets, "
                     f"final_triggered says {self.final_triggered}")
+        ticks = [row[0] for row in self.series]
+        # Counting the rows first keeps a huge duration from costing a huge range.
+        if len(ticks) != self.duration or ticks != list(range(1, len(ticks) + 1)):
+            return f"series ticks are not 1..{self.duration}"
+        for before, after in zip(self.series, self.series[1:]):
+            if any(a < b for a, b in zip(after[1:], before[1:])):
+                return f"series counts fall at tick {after[0]}"
+        finals = [self.final_coverage, self.final_reached, self.final_triggered]
+        if self.series and self.series[-1][1:] != finals:
+            return f"series ends at {self.series[-1][1:]}, the final counts are {finals}"
+        reached = sum(1 for hits in self.target_hits.values() if hits > 0)
+        if reached != self.final_reached:
+            return (f"target_hits has {reached} targets with hits, "
+                    f"final_reached says {self.final_reached}")
+        stats = self.queue_stats
+        keys = ["executions", "n_favored", "n_seeds"]
+        if sorted(stats) != keys:
+            return f"queue_stats has keys {sorted(stats)}, not {keys}"
+        if not stats["n_favored"] <= stats["n_seeds"] <= stats["executions"]:
+            return "queue_stats breaks n_favored <= n_seeds <= executions"
+        if not re.fullmatch("[0-9a-f]{64}", self.graph_hash):
+            return "graph_hash is not 64 lowercase hex digits"
         return None
 
 

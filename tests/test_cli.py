@@ -558,6 +558,47 @@ BAD_INPUTS = {
             {"target_hits": {"0": 2}, "triggered_targets": [0], "final_triggered": 3},
             "triggered_targets lists 1 targets, final_triggered says 3",
         ),
+        # The base result is a 20-tick campaign that ends at coverage 64,
+        # 13 reached and 2 triggered targets (8 and 24), with 13 seeds,
+        # 4 favored, after 21 executions.
+        "a final_coverage, a series cut short and an extra queue_stats key": (
+            {"final_coverage": 7, "series": [[1, 4, 0, 0], [2, 4, 0, 0], [3, 8, 0, 0]],
+             "queue_stats": {"executions": 21, "n_favored": 4, "n_seeds": 13, "x": 1}},
+            "series ticks are not 1..20",
+        ),
+        "a series tick missing": (
+            {"series": [[t, 64, 13, 2] for t in range(1, 22) if t != 7]},
+            "series ticks are not 1..20",
+        ),
+        "a series count that falls": (
+            {"series": [[t, 65 if t == 19 else 64, 13, 2] for t in range(1, 21)]},
+            "series counts fall at tick 20",
+        ),
+        "a series that ends below the final counts": (
+            {"final_coverage": 70},
+            "series ends at [64, 13, 2], the final counts are [70, 13, 2]",
+        ),
+        "a final_reached that is not the targets with hits": (
+            {"target_hits": {"8": 1, "24": 1}},
+            "target_hits has 2 targets with hits, final_reached says 13",
+        ),
+        "an extra queue_stats key": (
+            {"queue_stats": {"executions": 21, "n_favored": 4, "n_seeds": 13, "x": 1}},
+            "queue_stats has keys ['executions', 'n_favored', 'n_seeds', 'x'], "
+            "not ['executions', 'n_favored', 'n_seeds']",
+        ),
+        "more favored seeds than seeds": (
+            {"queue_stats": {"executions": 21, "n_favored": 14, "n_seeds": 13}},
+            "queue_stats breaks n_favored <= n_seeds <= executions",
+        ),
+        "more seeds than executions": (
+            {"queue_stats": {"executions": 12, "n_favored": 4, "n_seeds": 13}},
+            "queue_stats breaks n_favored <= n_seeds <= executions",
+        ),
+        "an uppercase graph_hash": (
+            {"graph_hash": "F" * 64},
+            "graph_hash is not 64 lowercase hex digits",
+        ),
     }.items()},
     # A graph or spec that parses but breaks a rule still names its file.
     "graph with a negative entry": (

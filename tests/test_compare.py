@@ -1,8 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fishsched.compare import (
+    EXACT_LIMIT,
     compare_campaigns,
     gini,
     never_hit_count,
@@ -14,7 +17,7 @@ from fishsched.simulator import (
     generate_program,
     run_campaign,
 )
-from oracles import oracle_rank_sum_p
+from oracles import oracle_normal_rank_sum_p, oracle_rank_sum_p
 
 
 def test_gini_flat_distribution_is_zero():
@@ -77,6 +80,47 @@ def test_rank_sum_large_samples_use_normal_approximation():
     ys = [x + 0.5 for x in range(15)]
     p = rank_sum_p([float(x) for x in xs], ys)
     assert 0.0 <= p <= 1.0
+
+
+# Few distinct values, so that most draws hold tie blocks of several sizes.
+tied_values = st.sampled_from([0, 1, 1.5, 2, 3.25, 7])
+
+
+@st.composite
+def large_tied_samples(draw):
+    """Two groups whose pooled size takes rank_sum_p past the exact branch."""
+    n1 = draw(st.integers(1, 2 * EXACT_LIMIT))
+    n2 = draw(st.integers(max(1, EXACT_LIMIT + 1 - n1), 2 * EXACT_LIMIT))
+    return (draw(st.lists(tied_values, min_size=n1, max_size=n1)),
+            draw(st.lists(tied_values, min_size=n2, max_size=n2)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(large_tied_samples())
+def test_rank_sum_normal_approximation_equals_the_oracle(samples):
+    xs, ys = samples
+    assert rank_sum_p(xs, ys) == oracle_normal_rank_sum_p(xs, ys)
+
+
+def test_rank_sum_normal_approximation_of_equal_values_is_one():
+    assert rank_sum_p([4.0] * 11, [4.0] * 12) == 1.0
+
+
+def test_rank_sum_normal_approximation_matches_scipy_when_available():
+    scipy_stats = pytest.importorskip("scipy.stats")
+    rng = random.Random(314159)
+    for _ in range(300):
+        n1 = rng.randint(1, 2 * EXACT_LIMIT)
+        n2 = rng.randint(max(1, EXACT_LIMIT + 1 - n1), 2 * EXACT_LIMIT)
+        pool = rng.sample([0.0, 1.0, 1.5, 2.0, 3.25, 7.0, 9.5], rng.randint(2, 7))
+        xs = [rng.choice(pool) for _ in range(n1)]
+        ys = [rng.choice(pool) for _ in range(n2)]
+        if len(set(xs + ys)) == 1:
+            continue  # no variance: scipy returns nan, rank_sum_p 1.0
+        expected = scipy_stats.mannwhitneyu(
+            xs, ys, alternative="two-sided", method="asymptotic", use_continuity=True
+        ).pvalue
+        assert rank_sum_p(xs, ys) == pytest.approx(expected, rel=1e-9, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

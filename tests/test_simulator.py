@@ -1,15 +1,19 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fishsched import simulator
 from fishsched.distance import build_distance_map
 from fishsched.execution import ExecutionTrace, Seed, dsf_of_functions
 from fishsched.graph import ENTRY_FUNCTION, graph_from_dict, graph_hash
+from fishsched.scheduler import SchedulerConfig
 from fishsched.simulator import (
     CampaignConfig,
     CampaignResult,
     MutationModel,
+    SCHEDULERS,
     SpecError,
     SyntheticProgramSpec,
     execute_mutation,
@@ -387,6 +391,36 @@ def test_result_json_round_trip():
     r = run_campaign(g, CampaignConfig(scheduler="afl_favor", duration=100, rng_seed=4))
     back = CampaignResult.from_json_bytes(r.to_json_bytes())
     assert back == r
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n_functions=st.integers(1, 12),
+    graph_seed=st.integers(0, 2**16),
+    scheduler=st.sampled_from(SCHEDULERS),
+    duration=st.integers(0, 60),
+    executions_per_tick=st.integers(1, 3),
+    rng_seed=st.integers(-5, 2**16),
+    timeout=st.integers(0, 20),
+)
+def test_every_simulated_result_reloads_to_the_same_bytes(
+    n_functions, graph_seed, scheduler, duration, executions_per_tick, rng_seed, timeout
+):
+    # Every function holds a target, so harmonic_directed can run on any graph;
+    # short timeouts walk the fishfuzz phases within the duration.
+    g = generate_program(SyntheticProgramSpec(
+        n_functions=n_functions, call_density=1.0, targets_per_function=(1, 2),
+        rng_seed=graph_seed,
+    ))
+    config = CampaignConfig(
+        scheduler=scheduler, duration=duration, executions_per_tick=executions_per_tick,
+        rng_seed=rng_seed,
+        scheduler_config=SchedulerConfig(
+            w_function=timeout, w_reach=timeout, w_trigger=timeout
+        ),
+    )
+    raw = run_campaign(g, config).to_json_bytes()
+    assert CampaignResult.from_json_bytes(raw).to_json_bytes() == raw
 
 
 def test_unknown_scheduler_rejected():
