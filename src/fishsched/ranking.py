@@ -1,4 +1,4 @@
-"""Dynamic target ranking: reached/triggered flags and hit frequencies.
+"""Dynamic target ranking: first reach and trigger times and hit frequencies.
 
 The ranking is the shared structure between the campaign loop (single
 writer) and the cull logic and distance queries (readers). Hits count
@@ -16,11 +16,17 @@ from .graph import ProgramGraph
 
 @dataclass
 class TargetState:
-    reached: bool = False
-    triggered: bool = False
     hits: int = 0
     first_reached_at: Optional[int] = None
     first_triggered_at: Optional[int] = None
+
+    @property
+    def reached(self) -> bool:
+        return self.first_reached_at is not None
+
+    @property
+    def triggered(self) -> bool:
+        return self.first_triggered_at is not None
 
 
 @dataclass(frozen=True)
@@ -36,6 +42,7 @@ class TargetRanking:
     """Per-target dynamic state covering exactly the graph's target set."""
 
     def __init__(self, graph: ProgramGraph) -> None:
+        # graph.targets() is sorted by id, so _states iterates in ascending id.
         self._states = {t.id: TargetState() for t in graph.targets()}
 
     def state(self, target_id: int) -> TargetState:
@@ -44,24 +51,17 @@ class TargetRanking:
         except KeyError:
             raise KeyError(f"unknown target id {target_id}") from None
 
-    def target_ids(self) -> list[int]:
-        return sorted(self._states)
-
     def record_execution(self, trace: ExecutionTrace, now: int) -> UpdateSummary:
         """Fold one execution into the ranking; returns the novelty counts."""
         new_reached = 0
         new_triggered = 0
-        for tid in sorted(trace.targets_reached):
+        for tid in trace.targets_reached:
             st = self.state(tid)
             st.hits += 1
             if not st.reached:
-                st.reached = True
                 st.first_reached_at = now
                 new_reached += 1
-        for tid in sorted(trace.targets_triggered):
-            st = self.state(tid)
-            if not st.triggered:
-                st.triggered = True
+            if tid in trace.targets_triggered and not st.triggered:
                 st.first_triggered_at = now
                 new_triggered += 1
         return UpdateSummary(new_reached=new_reached, new_triggered=new_triggered)
@@ -76,15 +76,11 @@ def reached_untriggered(
     distance is zeroed elsewhere); exclude_triggered drops them, which is
     what the scheduler uses by default.
     """
-    out = []
-    for tid in ranking.target_ids():
-        st = ranking.state(tid)
-        if not st.reached:
-            continue
-        if exclude_triggered and st.triggered:
-            continue
-        out.append(tid)
-    return out
+    return [
+        tid
+        for tid, st in ranking._states.items()
+        if st.reached and not (exclude_triggered and st.triggered)
+    ]
 
 
 def order_by_hits(ids: list[int], ranking: TargetRanking) -> list[int]:

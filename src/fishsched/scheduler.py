@@ -80,7 +80,7 @@ class FunctionExplorationState:
         self.explored: set = set()
 
     def observe(self, trace) -> int:
-        new = set(trace.functions) - self.explored
+        new = trace.functions - self.explored
         self.explored.update(new)
         return len(new)
 
@@ -162,8 +162,6 @@ def serviced_targets(ranking: TargetRanking, cfg: SchedulerConfig) -> list[int]:
     candidates = reached_untriggered(
         ranking, exclude_triggered=not cfg.exploit_include_triggered
     )
-    if not candidates:
-        return []
     ordered = order_by_hits(candidates, ranking)
     return ordered[: math.ceil(len(ordered) * cfg.exploit_fraction)]
 

@@ -234,3 +234,59 @@ def oracle_normal_rank_sum_p(xs, ys) -> float:
         return 1.0
     z = max(0.0, (abs(u - mean_u) - 0.5) / math.sqrt(var_u))
     return min(1.0, 2.0 * (1.0 - statistics.NormalDist().cdf(z)))
+
+
+def oracle_ranking_replay(target_ids, steps, fractions=(0.2, 0.5, 1.0)):
+    """The target ranking, replayed with explicit flags and sorted passes.
+
+    steps is a list of (reached, triggered, now). Each step first walks the
+    reached ids in sorted order (one hit each, flagging the first reach),
+    then the triggered ids in sorted order (flagging the first trigger).
+    Returns one snapshot per step:
+      facts: tid -> (reached, triggered, hits, first_reached_at,
+        first_triggered_at);
+      summary: (new_reached, new_triggered) of the step;
+      reached: every reached id, sorted by id;
+      untriggered: the reached ids not triggered, sorted by id;
+      serviced: (fraction, include_triggered) -> the candidates (reached, or
+        untriggered) ordered by (hits, id), cut to the first
+        ceil(fraction * count).
+    """
+    flags = {
+        t: {"reached": False, "triggered": False, "hits": 0,
+            "first_reached_at": None, "first_triggered_at": None}
+        for t in target_ids
+    }
+    snapshots = []
+    for reached, triggered, now in steps:
+        new_reached = new_triggered = 0
+        for t in sorted(reached):
+            flags[t]["hits"] += 1
+            if not flags[t]["reached"]:
+                flags[t]["reached"] = True
+                flags[t]["first_reached_at"] = now
+                new_reached += 1
+        for t in sorted(triggered):
+            if not flags[t]["triggered"]:
+                flags[t]["triggered"] = True
+                flags[t]["first_triggered_at"] = now
+                new_triggered += 1
+        all_reached = sorted(t for t in flags if flags[t]["reached"])
+        untriggered = [t for t in all_reached if not flags[t]["triggered"]]
+        serviced = {}
+        for include, candidates in ((True, all_reached), (False, untriggered)):
+            by_hits = sorted(candidates, key=lambda t: (flags[t]["hits"], t))
+            for f in fractions:
+                serviced[(f, include)] = by_hits[: math.ceil(len(by_hits) * f)]
+        snapshots.append({
+            "facts": {
+                t: (s["reached"], s["triggered"], s["hits"],
+                    s["first_reached_at"], s["first_triggered_at"])
+                for t, s in flags.items()
+            },
+            "summary": (new_reached, new_triggered),
+            "reached": all_reached,
+            "untriggered": untriggered,
+            "serviced": serviced,
+        })
+    return snapshots

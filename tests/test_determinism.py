@@ -12,6 +12,7 @@ import sys
 from pathlib import Path
 
 import fishsched
+from fishsched.graph import graph_from_dict, graph_to_dict
 from fishsched.scheduler import SchedulerConfig
 from fishsched.simulator import (
     SCHEDULERS,
@@ -104,3 +105,42 @@ def test_multi_execution_ticks_match_pinned_digests():
         ]).encode())
         digests[scheduler] = digest.hexdigest()
     assert digests == PINNED_QUEUE_SHA256
+
+
+# SHA-256 of each scheduler's result bytes and final queue on a graph whose
+# target ids descend across functions, so the ranking cannot lean on ids that
+# follow function order.
+PINNED_DESCENDING_IDS_SHA256 = {
+    "fishfuzz": "dccdef677fb700c7488a3aceac01c8c64d5e96e907bd16e1dba0a04baaa806ac",
+    "round_robin": "87c93f8117f696849da926e0567ebc6068f38a9698c7bb624ce333518710f52d",
+    "afl_favor": "86dbb0a708901f09c98d21201ba0c6419cd39c72cfd44dbdd846cc0e7cb9244a",
+    "harmonic_directed": "676a93066d760c001238dfd85debfd493b849ef04a1da94f312fc79074959035",
+}
+
+
+def test_descending_target_ids_match_pinned_digests():
+    data = graph_to_dict(generate_program(
+        SyntheticProgramSpec(n_functions=40, targets_per_function=(0, 3), rng_seed=5)
+    ))
+    targets = [t for fn in data["functions"] for t in fn["targets"]]
+    for t in targets:
+        t["id"] = 3 * (len(targets) - 1 - t["id"]) + 7
+    graph = graph_from_dict(data)
+    by_function = [t.id for f in graph.functions for t in f.targets]
+    assert by_function == sorted(by_function, reverse=True)
+    digests = {}
+    for scheduler in SCHEDULERS:
+        config = CampaignConfig(
+            scheduler=scheduler, duration=300, rng_seed=3,
+            scheduler_config=SchedulerConfig(w_function=20, w_reach=10, w_trigger=40),
+        )
+        result, queue = run_campaign_with_queue(graph, config)
+        if scheduler == "fishfuzz":
+            assert "exploit" in {phase for _, phase, _ in result.phase_timeline}
+            assert result.final_reached >= 2
+        digest = hashlib.sha256(result.to_json_bytes())
+        digest.update(repr([
+            (s.id, s.parent, s.created_at, s.exec_time, s.size, s.favor) for s in queue
+        ]).encode())
+        digests[scheduler] = digest.hexdigest()
+    assert digests == PINNED_DESCENDING_IDS_SHA256

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fishsched.execution import ExecutionTrace
 from fishsched.graph import graph_from_dict
@@ -10,8 +12,9 @@ from fishsched.ranking import (
     order_by_hits,
     reached_untriggered,
 )
+from fishsched.scheduler import SchedulerConfig, serviced_targets
 from conftest import linear_block
-from oracles import random_graph_dict
+from oracles import oracle_ranking_replay, random_graph_dict
 
 
 def graph_with_targets(n_targets):
@@ -146,3 +149,72 @@ def test_energy_series():
     series = energy_series({0: 0, 1: 2, 2: 0})
     assert series == [(1, 2), (2, 0), (3, 0)]
     assert all(series[i][1] >= series[i + 1][1] for i in range(len(series) - 1))
+
+
+FRACTIONS = (0.2, 0.5, 1.0)
+
+
+@st.composite
+def sparse_id_replays(draw):
+    """A random graph whose target ids are permuted into a sparse range, so
+    they are out of function order, and a trace sequence over them with
+    triggered within reached and a non-decreasing clock."""
+    data = random_graph_dict(
+        draw(st.randoms(use_true_random=False)), max_functions=8, target_rate=0.8
+    )
+    targets = [t for fn in data["functions"] for t in fn["targets"]]
+    new_ids = draw(st.lists(
+        st.integers(0, 1000), min_size=len(targets), max_size=len(targets), unique=True
+    ))
+    for target, new_id in zip(targets, new_ids):
+        target["id"] = new_id
+    steps = []
+    now = 0
+    for _ in range(draw(st.integers(0, 12))):
+        reached = frozenset(t for t in new_ids if draw(st.booleans()))
+        triggered = frozenset(t for t in sorted(reached) if draw(st.booleans()))
+        now += draw(st.integers(0, 3))
+        steps.append((reached, triggered, now))
+    return graph_from_dict(data), steps
+
+
+def facts(ranking, ids):
+    states = {t: ranking.state(t) for t in ids}
+    return {
+        t: (s.reached, s.triggered, s.hits, s.first_reached_at, s.first_triggered_at)
+        for t, s in states.items()
+    }
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_id_replays())
+def test_ranking_matches_the_replay_oracle_over_sparse_permuted_ids(case):
+    graph, steps = case
+    ids = [t.id for t in graph.targets()]
+    ranking = TargetRanking(graph)
+    configs = {
+        (f, include): SchedulerConfig(exploit_fraction=f, exploit_include_triggered=include)
+        for f in FRACTIONS
+        for include in (True, False)
+    }
+    # No target reached yet: no candidates, so nothing is serviced.
+    assert reached_untriggered(ranking) == []
+    assert all(serviced_targets(ranking, cfg) == [] for cfg in configs.values())
+    for (reached, triggered, now), want in zip(
+        steps, oracle_ranking_replay(ids, steps, FRACTIONS)
+    ):
+        summary = ranking.record_execution(
+            ExecutionTrace(
+                functions=frozenset({0}),
+                targets_reached=reached,
+                targets_triggered=triggered,
+            ),
+            now,
+        )
+        assert summary.new_functions == 0
+        assert (summary.new_reached, summary.new_triggered) == want["summary"]
+        assert facts(ranking, ids) == want["facts"]
+        assert reached_untriggered(ranking) == want["reached"]
+        assert reached_untriggered(ranking, exclude_triggered=True) == want["untriggered"]
+        for key, cfg in configs.items():
+            assert serviced_targets(ranking, cfg) == want["serviced"][key]
