@@ -46,14 +46,15 @@ class DistanceMapError(InputError):
 class StaticDistanceMap:
     """Immutable function-pair weights and shortest-path distances.
 
-    weights maps every direct call edge (caller, callee) to its conditional
-    edge count (None when no call site is reachable from the caller entry).
+    weights is the graph's read-only call_weights: every direct call edge
+    (caller, callee) to its conditional edge count (None when no call site is
+    reachable from the caller entry).
     rows[a] is {b: dff(a, b)} for every b that a reaches, a itself at 0, and
     dff is a read-only {(a, b): d} view of them; query through dff_value.
     """
 
     built_from: str
-    weights: dict
+    weights: Mapping
     rows: tuple
 
     @cached_property
@@ -113,7 +114,7 @@ def _collector_paused():
 @_collector_paused()
 def build_distance_map(graph: ProgramGraph) -> StaticDistanceMap:
     """All-pairs dff over the weighted direct calls: one Dijkstra row per source."""
-    weights = dict(graph.call_weights)
+    weights = graph.call_weights
     adj: dict[int, list[tuple[int, int]]] = {f.id: [] for f in graph.functions}
     for (a, b), w in sorted(weights.items()):
         if w is not None:
@@ -176,7 +177,7 @@ def load_distance_map(path: str, graph: ProgramGraph) -> StaticDistanceMap:
     Raises DistanceMapError on an unreadable file, corrupt JSON, a missing
     or unknown field, a map built from another graph, a row that is not three
     integers, a negative distance, an unknown function id, two rows for one
-    pair, or a weight for a non-call edge.
+    pair, a weight for a non-call edge, or weights that are not the graph's.
     """
 
     def not_an_integer(text):
@@ -193,12 +194,18 @@ def load_distance_map(path: str, graph: ProgramGraph) -> StaticDistanceMap:
             f"{path}: built_from hash {str(data['built_from'])[:12]}... does not "
             f"match the supplied graph ({expected[:12]}...)"
         )
-    weights: dict = {pair: None for pair in sorted(graph.call_edges)}
+    weights = graph.call_weights
     for a, row in enumerate(_rows(path, "weights", data["weights"], graph)):
         for b, w in row.items():
             if (a, b) not in weights:
                 raise DistanceMapError(f"{path}: weight for non-call-edge ({a},{b})")
-            weights[(a, b)] = w
+            if w != weights[(a, b)]:
+                raise DistanceMapError(
+                    f"{path}: weight ({a},{b}) is {w}, the graph's is {weights[(a, b)]}"
+                )
+    missing = sum(w is not None for w in weights.values()) - len(data["weights"])
+    if missing:
+        raise DistanceMapError(f"{path}: {missing} of the graph's weights are missing")
     rows = _rows(path, "dff", data["dff"], graph)
     return StaticDistanceMap(built_from=data["built_from"], weights=weights, rows=rows)
 

@@ -12,7 +12,7 @@ import hashlib
 import heapq
 import json
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
 from typing import Optional
@@ -63,10 +63,10 @@ class Function:
     entry: int
     blocks: tuple[BasicBlock, ...]
     targets: tuple[Target, ...]
-    _block_map: dict = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_block_map", {b.id: b for b in self.blocks})
+    @cached_property
+    def _block_map(self) -> dict:
+        return {b.id: b for b in self.blocks}
 
     def block(self, block_id: int) -> BasicBlock:
         try:
@@ -95,23 +95,15 @@ class ProgramGraph:
     call_edges: frozenset  # (caller, callee) pairs from direct call sites
     indirect_edges: tuple[IndirectEdge, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_fn_map", {f.id: f for f in self.functions})
-        targets = {}
-        for f in self.functions:
-            for t in f.targets:
-                targets[t.id] = t
-        object.__setattr__(self, "_target_map", targets)
-
     @property
     def n_functions(self) -> int:
         return len(self.functions)
 
     def function(self, fid: int) -> Function:
-        try:
-            return self._fn_map[fid]
-        except KeyError:
-            raise KeyError(f"unknown function id {fid}") from None
+        # Ids are dense (graph_from_dict remaps them), so fid is an index.
+        if 0 <= fid < len(self.functions):
+            return self.functions[fid]
+        raise KeyError(f"unknown function id {fid}")
 
     def target(self, tid: int) -> Target:
         try:
@@ -120,10 +112,16 @@ class ProgramGraph:
             raise KeyError(f"unknown target id {tid}") from None
 
     def targets(self) -> list[Target]:
-        return [self._target_map[t] for t in sorted(self._target_map)]
+        return list(self._target_map.values())
 
     # Derived data: built on first use, so loading a graph pays nothing for
     # it, and read-only, because every caller shares the one copy.
+
+    @cached_property
+    def _target_map(self) -> dict:
+        """Target id -> target, in ascending id."""
+        found = [t for f in self.functions for t in f.targets]
+        return {t.id: t for t in sorted(found, key=lambda t: t.id)}
 
     @cached_property
     def ground_truth(self) -> frozenset:

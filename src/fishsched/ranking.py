@@ -52,11 +52,17 @@ class TargetRanking:
             raise KeyError(f"unknown target id {target_id}") from None
 
     def record_execution(self, trace: ExecutionTrace, now: int) -> UpdateSummary:
-        """Fold one execution into the ranking; returns the novelty counts."""
+        """Fold one execution into the ranking; returns the novelty counts.
+
+        A trace naming an unknown target raises before anything is written.
+        """
+        unknown = trace.targets_reached - self._states.keys()
+        if unknown:
+            raise KeyError(f"unknown target id {min(unknown)}")
         new_reached = 0
         new_triggered = 0
         for tid in trace.targets_reached:
-            st = self.state(tid)
+            st = self._states[tid]
             st.hits += 1
             if not st.reached:
                 st.first_reached_at = now

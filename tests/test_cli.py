@@ -382,6 +382,13 @@ def _map_with_short_weight_row(tmp_path, graph_file):
     return _write(map_path, data)
 
 
+def _map_with_a_wrong_weight(tmp_path, graph_file):
+    map_path = Path(_map_of(tmp_path, graph_file))
+    data = json.loads(map_path.read_text())
+    data["weights"][0][2] += 1
+    return _write(map_path, data)
+
+
 def _map_of(tmp_path, graph_file):
     map_path = tmp_path / "g.map"
     assert main(["analyze", "--graph", graph_file, "--out", str(map_path)]) == 0
@@ -621,6 +628,11 @@ BAD_INPUTS = {
                         "--map", _map_with_short_weight_row(tmp, g)],
         "is not three integers",
     ),
+    "map weight the graph disagrees with": (
+        lambda tmp, g: ["distance", "--graph", g, "--dff", "0", "1",
+                        "--map", _map_with_a_wrong_weight(tmp, g)],
+        "g.map: weight (0,1) is 2, the graph's is 1\n",
+    ),
     # A path that exists but cannot be read.
     "graph is a directory": (
         lambda tmp, g: ["analyze", "--graph", _file(tmp, "d", None),
@@ -692,6 +704,14 @@ BAD_INPUTS = {
         lambda tmp, g: _distance(tmp, g, "--dsf", _trace(tmp, functions="0,99999"),
                                  "1"),
         "fishsched: unknown function id 99999",
+    ),
+    "dff from a negative function id": (
+        lambda tmp, g: _distance(tmp, g, "--dff", "-1", "0"),
+        "fishsched: unknown function id -1\n",
+    ),
+    "dsf from a trace naming a negative function id": (
+        lambda tmp, g: _distance(tmp, g, "--dsf", _trace(tmp, functions="-1"), "1"),
+        "fishsched: unknown function id -1\n",
     ),
     "harmonic of a trace naming an unknown function": (
         lambda tmp, g: _distance(tmp, g, "--harmonic", _trace(tmp, functions="99999")),

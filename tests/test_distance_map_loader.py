@@ -49,6 +49,9 @@ BAD_ROWS = {
     "dff row with negative function": ("dff", [-1, 0, 4], "unknown function -1"),
     "negative dff": ("dff", [0, 0, -3], "negative distance"),
     "duplicate dff row": ("dff", [1, 2, 2], "two rows for one function pair"),
+    "weight the graph disagrees with": (
+        "weights", [0, 1, 5], r"weight \(0,1\) is 5, the graph's is 1"
+    ),
 }
 
 
@@ -58,6 +61,14 @@ def test_malformed_row_is_rejected(saved_map, chain_graph, case):
     field, row, message = BAD_ROWS[case]
     data[field][0] = row
     with pytest.raises(DistanceMapError, match=message):
+        load_distance_map(write(data), chain_graph)
+
+
+def test_missing_weight_row_is_rejected(saved_map, chain_graph):
+    # A deleted row cannot be written as one bad row in place of another.
+    data, write = saved_map
+    del data["weights"][0]
+    with pytest.raises(DistanceMapError, match="1 of the graph's weights are missing"):
         load_distance_map(write(data), chain_graph)
 
 

@@ -155,6 +155,52 @@ def test_sparse_shuffled_ids_load_as_the_dense_graph(seed, data):
     )
 
 
+@st.composite
+def sparse_target_graphs(draw):
+    """A random graph whose target ids are permuted into a sparse range, so
+    they are out of function order."""
+    data = random_graph_dict(
+        draw(st.randoms(use_true_random=False)), max_functions=8, target_rate=0.8
+    )
+    targets = [t for fn in data["functions"] for t in fn["targets"]]
+    new_ids = draw(st.lists(
+        st.integers(0, 1000), min_size=len(targets), max_size=len(targets), unique=True
+    ))
+    for target, new_id in zip(targets, new_ids):
+        target["id"] = new_id
+    return graph_from_dict(data)
+
+
+def _probe_ids(ids):
+    """Every id of ids, the ints just around them, and both bools."""
+    return [*range(-3, max(ids, default=0) + 4), True, False]
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_target_graphs())
+def test_lookups_agree_with_the_records(graph):
+    def check(lookup, records, i, message):
+        if i in records:
+            assert lookup(i) is records[i]
+        else:
+            with pytest.raises(KeyError) as err:
+                lookup(i)
+            assert err.value.args == (message,)
+
+    functions = {f.id: f for f in graph.functions}
+    for i in _probe_ids(functions):
+        check(graph.function, functions, i, f"unknown function id {i}")
+    targets = {t.id: t for f in graph.functions for t in f.targets}
+    for i in _probe_ids(targets):
+        check(graph.target, targets, i, f"unknown target id {i}")
+    assert graph.targets() == sorted(targets.values(), key=lambda t: t.id)
+    for f in graph.functions:
+        blocks = {b.id: b for b in f.blocks}
+        for i in _probe_ids(blocks):
+            check(f.block, blocks, i, f"function {f.id} ({f.name}) has no block {i}")
+            assert f.has_block(i) is (i in blocks)
+
+
 def _sparse_graph() -> dict:
     """Functions 10 and 40 calling each other; 40 holds target 0."""
     return {

@@ -54,6 +54,15 @@ def test_first_reach_sets_state():
     assert st.first_reached_at == 4
 
 
+def test_unknown_target_leaves_the_ranking_untouched():
+    r = TargetRanking(graph_with_targets(2))
+    with pytest.raises(KeyError, match="unknown target id 5"):
+        r.record_execution(trace(reached=[0, 1, 9, 5]), now=3)
+    for t in range(2):
+        st = r.state(t)
+        assert (st.hits, st.first_reached_at, st.first_triggered_at) == (0, None, None)
+
+
 def test_two_traces_reach_then_trigger():
     # replayed by hand: hits 2, reached at t=1, triggered at t=2
     r = TargetRanking(graph_with_targets(1))
