@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import statistics
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
@@ -74,11 +75,7 @@ def rank_sum_p(xs: list[float], ys: list[float]) -> float:
         return 1.0
     z = (abs(u_obs - mean_u) - 0.5) / math.sqrt(var_u)
     z = max(z, 0.0)
-    return min(1.0, 2.0 * (1.0 - _phi(z)))
-
-
-def _phi(z: float) -> float:
-    return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
+    return min(1.0, 2.0 * (1.0 - statistics.NormalDist().cdf(z)))
 
 
 def never_hit_count(result: CampaignResult) -> int:

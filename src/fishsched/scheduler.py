@@ -121,12 +121,14 @@ class BestSeeds:
         return best
 
 
-def _closest(queue: list[Seed], fid: int, dsf_fn) -> Optional[int]:
+def _closest(queue: list[Seed], fid: int, dmap, dsf_fn) -> Optional[int]:
     """The id of the seed nearest function fid by dsf.
 
-    Ties on distance go to the faster, then the older seed. None when no
-    seed has a finite distance.
+    dsf_fn, when given, stands in for dsf over dmap. Ties on distance go to
+    the faster, then the older seed. None when no seed has a finite distance.
     """
+    if dsf_fn is None:
+        dsf_fn = lambda seed, f: dsf(seed, f, dmap)
     best = None
     for s in queue:
         d = dsf_fn(s, fid)
@@ -145,11 +147,9 @@ def inter_function_cull(
     dsf_fn: Optional[Callable[[Seed, int], Optional[int]]] = None,
 ) -> None:
     """Favor the closest seed (_closest) for each unexplored target function."""
-    if dsf_fn is None:
-        dsf_fn = lambda s, fid: dsf(s, fid, dmap)
     closest = set()
     for fid in fstate.unexplored_target_functions():
-        closest.add(_closest(queue, fid, dsf_fn))
+        closest.add(_closest(queue, fid, dmap, dsf_fn))
     _favor_only(queue, closest)
 
 
@@ -183,8 +183,6 @@ def exploitation_cull(
     state carries the fastest reaching seed per target across calls on one
     growing queue; without it the whole queue is folded afresh.
     """
-    if dsf_fn is None:
-        dsf_fn = lambda s, fid: dsf(s, fid, dmap)
     if state is None:
         state = BestSeeds()
     reaching = state.fold(
@@ -198,7 +196,7 @@ def exploitation_cull(
             favored.add(hit[1].id)
             continue
         # No queued seed reaches tid, so every seed competes on distance.
-        favored.add(_closest(queue, graph.target(tid).function, dsf_fn))
+        favored.add(_closest(queue, graph.target(tid).function, dmap, dsf_fn))
     _favor_only(queue, favored)
     return serviced
 

@@ -9,6 +9,7 @@ way it would be at runtime.
 
 from __future__ import annotations
 
+import math
 import random
 import re
 from dataclasses import dataclass, field, fields, replace
@@ -51,6 +52,9 @@ SCHEDULERS = ("fishfuzz", "round_robin", "afl_favor", "harmonic_directed")
 UNREACHABLE_SITE_DIFFICULTY = 8
 INITIAL_SEED_SIZE = 64
 SIZE_JITTER = (0.9, 1.1)
+TRIGGER_PROBABILITY = 0.02
+EXEC_TIME_BASE_US = 100
+EXEC_TIME_PER_FUNCTION_US = 3
 
 
 # Upper bounds on a spec, so that no spec that loads asks for unbounded work.
@@ -79,6 +83,17 @@ class SyntheticProgramSpec:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
+        # Every type first, so that the range checks below may assume them.
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if f.name in ("blocks_per_function", "targets_per_function"):
+                ok = type(v) is tuple and len(v) == 2 and all(type(x) is int for x in v)
+            elif f.name in ("n_functions", "rng_seed"):
+                ok = type(v) is int
+            else:
+                ok = type(v) is int or type(v) is float and math.isfinite(v)
+            if not ok:
+                raise SpecError(f"field '{f.name}' has the wrong type: {v!r}")
         n = self.n_functions
         if not 1 <= n <= MAX_FUNCTIONS:
             raise SpecError(f"n_functions must be in [1, {MAX_FUNCTIONS}]")
@@ -117,13 +132,10 @@ class SyntheticProgramSpec:
 class MutationModel:
     locality: float = 0.85
     frontier_advance: float = 0.25
-    trigger_probability: float = 0.02
-    exec_time_base_us: int = 100
-    exec_time_per_function_us: int = 3
     exec_time_jitter: float = 0.2
 
     def __post_init__(self) -> None:
-        for name in ("locality", "frontier_advance", "trigger_probability"):
+        for name in ("locality", "frontier_advance"):
             v = getattr(self, name)
             if not 0 <= v <= 1:
                 raise ValueError(f"{name} must be in [0, 1]")
@@ -294,7 +306,7 @@ def execute_mutation(
 
     triggered = frozenset(
         tid for tid in sorted(reached)
-        if rng.random() < model.trigger_probability * target_hardness(tid)
+        if rng.random() < TRIGGER_PROBABILITY * target_hardness(tid)
     )
     return ExecutionTrace(
         functions=frozenset(funcs),
@@ -305,7 +317,7 @@ def execute_mutation(
 
 
 def sample_exec_time(model: MutationModel, n_functions: int, rng: random.Random) -> int:
-    base = model.exec_time_base_us + model.exec_time_per_function_us * n_functions
+    base = EXEC_TIME_BASE_US + EXEC_TIME_PER_FUNCTION_US * n_functions
     noise = rng.uniform(1 - model.exec_time_jitter, 1 + model.exec_time_jitter)
     return max(1, round(base * noise))
 
@@ -332,6 +344,10 @@ class CampaignConfig:
             raise ValueError(
                 f"unknown scheduler {self.scheduler!r}; expected one of {SCHEDULERS}"
             )
+        # A bool or float would run, then write a result its loader rejects.
+        for name in ("duration", "executions_per_tick", "rng_seed"):
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an int")
         if self.duration < 0:
             raise ValueError("duration must be non-negative")
         if self.executions_per_tick < 1:

@@ -139,6 +139,19 @@ def test_specs_at_the_upper_bounds_load():
     )
 
 
+@pytest.mark.parametrize("name, value", [
+    ("n_functions", True),
+    ("n_functions", 2.5),
+    ("call_density", "x"),
+    ("blocks_per_function", (1.5, 3)),
+    ("rng_seed", 1.5),
+    ("targets_per_function", [0, 3]),
+])
+def test_spec_values_of_the_wrong_type_are_rejected(name, value):
+    with pytest.raises(SpecError, match=f"field '{name}' has the wrong type"):
+        SyntheticProgramSpec(**{"n_functions": 5, name: value})
+
+
 # ---------------------------------------------------------------------------
 # mutation model
 # ---------------------------------------------------------------------------
@@ -426,6 +439,20 @@ def test_every_simulated_result_reloads_to_the_same_bytes(
 def test_unknown_scheduler_rejected():
     with pytest.raises(ValueError, match="unknown scheduler"):
         CampaignConfig(scheduler="alphabetical", duration=10)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("duration", True),
+    ("duration", 5.0),
+    ("executions_per_tick", 1.5),
+    ("rng_seed", True),
+    ("rng_seed", 2.5),
+])
+def test_campaign_config_rejects_a_value_its_result_could_not_hold(name, value):
+    # Such a campaign would run, then write a result that from_json_bytes rejects.
+    # A negative rng_seed stays valid; the round-trip property test above runs one.
+    with pytest.raises(ValueError, match=f"{name} must be an int"):
+        CampaignConfig("afl_favor", **{"duration": 5, name: value})
 
 
 # ---------------------------------------------------------------------------

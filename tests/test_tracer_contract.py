@@ -60,3 +60,29 @@ def test_campaigns_call_through_the_traced_names():
     for cull in ("inter_function_cull", "intra_function_cull", "exploitation_cull"):
         assert spans[f"scheduler.{cull}"] > 0, cull
     assert tracer.counts["execution.dsf_lookups"] > 0  # culls got dsf_fn=
+
+
+def test_every_campaign_side_span_is_recorded():
+    # A traced name that campaigns stop calling leaves its per-layer metric at
+    # 0 with nothing failing. simulator binds order_by_hits and
+    # reached_untriggered without calling them, so names, not bindings, count.
+    spans_module = _spans()
+    tracer = spans_module.Tracer()
+    tracer.install(fishsched)
+    try:
+        graph = generate_program(SyntheticProgramSpec(n_functions=30, rng_seed=3))
+        cfg = SchedulerConfig(w_function=20, w_reach=10, w_trigger=40)
+        for scheduler in SCHEDULERS:
+            run_campaign(
+                graph, CampaignConfig(scheduler, duration=300, scheduler_config=cfg)
+            )
+    finally:
+        tracer.uninstall()
+
+    expected = {
+        name for (module, _), name in spans_module.PATCHES.items()
+        if module in ("simulator", "scheduler", "distance")
+    }
+    recorded = {name for name, *_ in tracer.spans}
+    assert expected
+    assert sorted(expected - recorded) == []
