@@ -65,7 +65,14 @@ class SchedulerConfig:
     exploit_include_triggered: bool = False
 
     def __post_init__(self) -> None:
-        for name in ("w_function", "w_reach", "w_trigger"):
+        # Every type first, so that the range checks below may assume them.
+        windows = ("w_function", "w_reach", "w_trigger")
+        for name in (*windows, "exploit_fraction"):
+            if type(getattr(self, name)) not in (int, float):
+                raise ValueError(f"{name} must be a number")
+        if type(self.exploit_include_triggered) is not bool:
+            raise ValueError("exploit_include_triggered must be a bool")
+        for name in windows:
             if not getattr(self, name) >= 0:  # NaN fails too; inf never times out
                 raise ValueError(f"{name} must be non-negative")
         if not 0 < self.exploit_fraction <= 1:

@@ -55,6 +55,11 @@ SIZE_JITTER = (0.9, 1.1)
 TRIGGER_PROBABILITY = 0.02
 EXEC_TIME_BASE_US = 100
 EXEC_TIME_PER_FUNCTION_US = 3
+# Chance that a child keeps each of its parent's functions, chance of
+# crossing a weight-0 call edge, and the relative spread of exec times.
+LOCALITY = 0.85
+FRONTIER_ADVANCE = 0.25
+EXEC_TIME_JITTER = 0.2
 
 
 # Upper bounds on a spec, so that no spec that loads asks for unbounded work.
@@ -126,19 +131,6 @@ class SyntheticProgramSpec:
         ):
             if total > bound:
                 raise SpecError(f"{name} must be at most {bound}")
-
-
-@dataclass(frozen=True)
-class MutationModel:
-    locality: float = 0.85
-    frontier_advance: float = 0.25
-    exec_time_jitter: float = 0.2
-
-    def __post_init__(self) -> None:
-        for name in ("locality", "frontier_advance"):
-            v = getattr(self, name)
-            if not 0 <= v <= 1:
-                raise ValueError(f"{name} must be in [0, 1]")
 
 
 def target_hardness(target_id: int) -> float:
@@ -255,14 +247,12 @@ def _difficulty(graph: ProgramGraph, u: int, v: int) -> int:
     return UNREACHABLE_SITE_DIFFICULTY if w is None else w
 
 
-def execute_mutation(
-    parent, model: MutationModel, graph: ProgramGraph, rng: random.Random
-) -> ExecutionTrace:
+def execute_mutation(parent, graph: ProgramGraph, rng: random.Random) -> ExecutionTrace:
     """Derive a child trace from a parent seed (or from scratch when None).
 
     Retained parent functions seed a stochastic walk over ground-truth call
     edges; crossing an edge succeeds with probability
-    frontier_advance ** (1 + difficulty), so deeper conditional structure
+    FRONTIER_ADVANCE ** (1 + difficulty), so deeper conditional structure
     decays the advance geometrically. Block-level paths inside traversed
     functions decide reached targets and covered edges.
     """
@@ -270,7 +260,7 @@ def execute_mutation(
     parent_funcs = sorted(parent.trace.functions) if parent is not None else []
     retained = {ENTRY_FUNCTION}
     retained.update(
-        f for f in parent_funcs if f != ENTRY_FUNCTION and rng.random() < model.locality
+        f for f in parent_funcs if f != ENTRY_FUNCTION and rng.random() < LOCALITY
     )
 
     # Keep only what execution can actually flow into from the entry.
@@ -282,7 +272,7 @@ def execute_mutation(
         for v in successors[u]:
             if v in funcs:
                 continue
-            if rng.random() < model.frontier_advance ** (1 + _difficulty(graph, u, v)):
+            if rng.random() < FRONTIER_ADVANCE ** (1 + _difficulty(graph, u, v)):
                 funcs.add(v)
                 work.append(v)
 
@@ -316,9 +306,9 @@ def execute_mutation(
     )
 
 
-def sample_exec_time(model: MutationModel, n_functions: int, rng: random.Random) -> int:
+def sample_exec_time(n_functions: int, rng: random.Random) -> int:
     base = EXEC_TIME_BASE_US + EXEC_TIME_PER_FUNCTION_US * n_functions
-    noise = rng.uniform(1 - model.exec_time_jitter, 1 + model.exec_time_jitter)
+    noise = rng.uniform(1 - EXEC_TIME_JITTER, 1 + EXEC_TIME_JITTER)
     return max(1, round(base * noise))
 
 
@@ -348,6 +338,8 @@ class CampaignConfig:
         for name in ("duration", "executions_per_tick", "rng_seed"):
             if type(getattr(self, name)) is not int:
                 raise ValueError(f"{name} must be an int")
+        if not isinstance(self.scheduler_config, SchedulerConfig):
+            raise ValueError("scheduler_config must be a SchedulerConfig")
         if self.duration < 0:
             raise ValueError("duration must be non-negative")
         if self.executions_per_tick < 1:
@@ -512,7 +504,6 @@ def run_campaign(graph: ProgramGraph, config: CampaignConfig) -> CampaignResult:
 def run_campaign_with_queue(graph: ProgramGraph, config: CampaignConfig):
     """run_campaign plus the final seed queue, for inspection and tests."""
     rng = random.Random(config.rng_seed)
-    model = MutationModel()
     cfg = config.scheduler_config
     policy = config.scheduler
 
@@ -534,8 +525,8 @@ def run_campaign_with_queue(graph: ProgramGraph, config: CampaignConfig):
     def execute(parent, now: int):
         """Run, record and queue one input; the first (parent None) is always queued."""
         nonlocal reached_count, trig_count, executions
-        trace = execute_mutation(parent, model, graph, rng)
-        exec_time = sample_exec_time(model, len(trace.functions), rng)
+        trace = execute_mutation(parent, graph, rng)
+        exec_time = sample_exec_time(len(trace.functions), rng)
         size = INITIAL_SEED_SIZE if parent is None else sample_size(parent.size, rng)
         executions += 1
 

@@ -10,6 +10,15 @@ import itertools
 import math
 import random
 import statistics
+from types import SimpleNamespace
+
+from fishsched.distance import HARMONIC_ZERO_EPSILON
+from fishsched.simulator import (
+    INITIAL_SEED_SIZE,
+    execute_mutation,
+    sample_exec_time,
+    sample_size,
+)
 
 INF = float("inf")
 
@@ -55,11 +64,15 @@ def oracle_weights(graph):
 
 def oracle_dff(graph):
     """All-pairs shortest path over the weighted call graph via Floyd-Warshall."""
-    n = graph.n_functions
+    return _floyd_warshall(graph.n_functions, oracle_weights(graph))
+
+
+def _floyd_warshall(n, weights):
+    """{(i, j): shortest distance} over n nodes; a weight of None is no edge."""
     dist = [[INF] * n for _ in range(n)]
     for i in range(n):
         dist[i][i] = 0
-    for (a, b), w in oracle_weights(graph).items():
+    for (a, b), w in weights.items():
         if w is not None and w < dist[a][b]:
             dist[a][b] = w
     for k in range(n):
@@ -290,3 +303,183 @@ def oracle_ranking_replay(target_ids, steps, fractions=(0.2, 0.5, 1.0)):
             "serviced": serviced,
         })
     return snapshots
+
+
+def oracle_campaign(graph, config):
+    """A campaign restated brute force: (result fields, final queue rows).
+
+    Only the execution model is shared with the package: execute_mutation,
+    sample_exec_time and sample_size own the rng stream. Nothing is carried
+    from one cull to the next: after every execution each cull scans the
+    whole queue afresh, with dsf over oracle_dff, hop counts over
+    Floyd-Warshall, the serviced targets by a full sort and each best seed
+    by a full scan. The fields are those of a CampaignResult but graph_hash;
+    each queue row is (id, parent, created_at, exec_time, size, favor).
+    """
+    cfg = config.scheduler_config
+    policy = config.scheduler
+    rng = random.Random(config.rng_seed)
+    owner = {t.id: t.function for t in sorted(graph.targets(), key=lambda t: t.id)}
+    has_targets = set(owner.values())
+    dff = oracle_dff(graph)
+    hops = _floyd_warshall(graph.n_functions, {e: 1 for e in graph.call_edges})
+    # target id -> [hits, first reached at, first triggered at], by ascending id
+    state = {tid: [0, None, None] for tid in owner}
+    explored: set = set()
+    covered: set = set()
+    queue: list = []
+    executions = 0
+    phase = "inter_explore"
+    last = {"new_function": 0, "new_reach": 0, "new_trigger": 0}
+    timeline = [[0, phase, "start"]]
+    series = []
+
+    def distance(table, seed, fid):
+        """The least table[(f, fid)] over the seed's traversed functions f, or None."""
+        ds = [table[(f, fid)] for f in seed.trace.functions or {0} if (f, fid) in table]
+        return min(ds) if ds else None
+
+    def closest(fid):
+        keys = [(d, s.exec_time, s.id) for s in queue
+                if (d := distance(dff, s, fid)) is not None]
+        return min(keys)[2] if keys else None
+
+    def harmonic(seed):
+        ds = [d for fid in owner.values()
+              if (d := distance(hops, seed, fid)) is not None]
+        # Added in target order, as harmonic_distance does; sum() may round
+        # differently.
+        inv_sum = 0.0
+        for d in ds:
+            inv_sum += 1.0 / (d or HARMONIC_ZERO_EPSILON)
+        return len(ds) / inv_sum if ds else INF
+
+    def coverage_winners():
+        top_rated = {}
+        for e in set().union(*(s.trace.edges for s in queue)):
+            top_rated[e] = min(
+                (s.exec_time * s.size, s.id) for s in queue if e in s.trace.edges
+            )[1]
+        claimed: set = set()
+        winners = set()
+        for e in sorted(top_rated):
+            if e not in claimed:
+                winners.add(top_rated[e])
+                claimed |= queue[top_rated[e]].trace.edges
+        return winners
+
+    def exploit_winners():
+        candidates = sorted(
+            (st[0], tid) for tid, st in state.items()
+            if st[1] is not None and (cfg.exploit_include_triggered or st[2] is None)
+        )
+        winners = set()
+        for _, tid in candidates[: math.ceil(len(candidates) * cfg.exploit_fraction)]:
+            reaching = [(s.exec_time, s.id) for s in queue
+                        if tid in s.trace.targets_reached]
+            winners.add(min(reaching)[1] if reaching else closest(owner[tid]))
+        return winners
+
+    def cull():
+        if policy == "round_robin":
+            return
+        if policy == "afl_favor":
+            winners = coverage_winners()
+        elif policy == "harmonic_directed":
+            winners = {min((harmonic(s), s.exec_time, s.id) for s in queue)[2]}
+        elif phase == "inter_explore":
+            winners = {closest(fid) for fid in has_targets - explored}
+        elif phase == "intra_explore":
+            winners = coverage_winners()
+        else:
+            winners = exploit_winners()
+        for s in queue:
+            s.favor = s.id in winners
+
+    def execute(parent, now):
+        """Run, record and maybe queue one input; returns its novelty counts."""
+        nonlocal executions
+        trace = execute_mutation(parent, graph, rng)
+        exec_time = sample_exec_time(len(trace.functions), rng)
+        size = INITIAL_SEED_SIZE if parent is None else sample_size(parent.size, rng)
+        executions += 1
+        novelty = {"new_function": len(trace.functions - explored),
+                   "new_reach": 0, "new_trigger": 0}
+        explored.update(trace.functions)
+        for tid in sorted(trace.targets_reached):
+            st = state[tid]
+            st[0] += 1
+            if st[1] is None:
+                st[1] = now
+                novelty["new_reach"] += 1
+            if tid in trace.targets_triggered and st[2] is None:
+                st[2] = now
+                novelty["new_trigger"] += 1
+        admitted = (parent is None or not trace.edges <= covered
+                    or novelty["new_reach"] > 0)
+        covered.update(trace.edges)
+        if admitted:
+            queue.append(SimpleNamespace(
+                id=len(queue), parent=None if parent is None else parent.id,
+                created_at=now, exec_time=exec_time, size=size, trace=trace,
+                favor=False,
+            ))
+        return novelty
+
+    execute(None, 0)
+    cull()
+    for now in range(1, config.duration + 1):
+        for _ in range(config.executions_per_tick):
+            if policy == "round_robin":
+                parent = queue[(executions - 1) % len(queue)]
+            else:
+                favored = [s for s in queue if s.favor]
+                if favored:
+                    rng.random()  # the campaign draws once more when it has favourites
+                    parent = rng.choice(favored)
+                else:
+                    parent = rng.choice(queue)
+            novelty = execute(parent, now)
+
+            before = phase
+            quiet = {ev: now - t for ev, t in last.items()}
+            if novelty["new_function"]:
+                phase = "inter_explore"
+            elif phase == "inter_explore" and quiet["new_function"] >= cfg.w_function:
+                phase = "intra_explore"
+            elif phase == "intra_explore" and quiet["new_reach"] >= cfg.w_reach:
+                phase = "exploit"
+            elif phase == "exploit" and quiet["new_trigger"] >= cfg.w_trigger:
+                phase = "inter_explore"
+            events = [ev for ev, n in novelty.items() if n]
+            for ev in events:
+                last[ev] = now
+            if not events and phase != before:
+                events = ["timeout"]
+            timeline.extend([now, phase, ev] for ev in events)
+            cull()
+        series.append([
+            now, len(covered),
+            sum(st[1] is not None for st in state.values()),
+            sum(st[2] is not None for st in state.values()),
+        ])
+
+    fields = {
+        "scheduler": policy,
+        "rng_seed": config.rng_seed,
+        "duration": config.duration,
+        "series": series,
+        "target_hits": {tid: st[0] for tid, st in state.items()},
+        "triggered_targets": [tid for tid, st in state.items() if st[2] is not None],
+        "phase_timeline": timeline,
+        "queue_stats": {
+            "n_seeds": len(queue),
+            "n_favored": sum(s.favor for s in queue),
+            "executions": executions,
+        },
+        "final_coverage": len(covered),
+        "final_reached": sum(st[1] is not None for st in state.values()),
+        "final_triggered": sum(st[2] is not None for st in state.values()),
+    }
+    rows = [(s.id, s.parent, s.created_at, s.exec_time, s.size, s.favor) for s in queue]
+    return fields, rows

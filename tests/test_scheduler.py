@@ -443,6 +443,23 @@ def test_phase_step_is_pure_replay():
     assert replay() == replay()
 
 
+@pytest.mark.parametrize("name, value, kind", [
+    # These ran: a string or an int as the flag, a bool as a number.
+    ("exploit_include_triggered", "no", "bool"),
+    ("exploit_include_triggered", 0, "bool"),
+    ("exploit_fraction", True, "number"),
+    ("w_function", True, "number"),
+    # These raised a bare TypeError from the range check.
+    ("w_function", "30", "number"),
+    ("w_reach", None, "number"),
+    ("w_trigger", [60], "number"),
+    ("exploit_fraction", "0.2", "number"),
+])
+def test_scheduler_config_checks_each_type_before_its_range(name, value, kind):
+    with pytest.raises(ValueError, match=f"^{name} must be a {kind}$"):
+        SchedulerConfig(**{name: value})
+
+
 # ---------------------------------------------------------------------------
 # selection
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fishsched import simulator
@@ -12,7 +12,6 @@ from fishsched.scheduler import SchedulerConfig
 from fishsched.simulator import (
     CampaignConfig,
     CampaignResult,
-    MutationModel,
     SCHEDULERS,
     SpecError,
     SyntheticProgramSpec,
@@ -23,6 +22,7 @@ from fishsched.simulator import (
     sample_exec_time,
     standard_graph,
 )
+from oracles import oracle_campaign, random_graph_dict
 
 
 def weight0_chain(n):
@@ -157,30 +157,33 @@ def test_spec_values_of_the_wrong_type_are_rejected(name, value):
 # ---------------------------------------------------------------------------
 
 
-def test_degenerate_parameters_freeze_trace():
+def test_degenerate_parameters_freeze_trace(monkeypatch):
     g = weight0_chain(4)
     parent = seed_of(ExecutionTrace(functions=frozenset({0, 1, 2})))
-    model = MutationModel(locality=1.0, frontier_advance=0.0)
-    child = execute_mutation(parent, model, g, random.Random(2))
+    monkeypatch.setattr(simulator, "LOCALITY", 1.0)
+    monkeypatch.setattr(simulator, "FRONTIER_ADVANCE", 0.0)
+    child = execute_mutation(parent, g, random.Random(2))
     assert child.functions == parent.trace.functions
 
 
-def test_full_advance_covers_ground_truth_closure():
+def test_full_advance_covers_ground_truth_closure(monkeypatch):
     g = weight0_chain(5)
     parent = seed_of(ExecutionTrace(functions=frozenset({0})))
-    model = MutationModel(locality=1.0, frontier_advance=1.0)
-    child = execute_mutation(parent, model, g, random.Random(1))
+    monkeypatch.setattr(simulator, "LOCALITY", 1.0)
+    monkeypatch.setattr(simulator, "FRONTIER_ADVANCE", 1.0)
+    child = execute_mutation(parent, g, random.Random(1))
     assert child.functions == frozenset(range(5))
 
 
-def test_chain_advance_frequency_matches_geometric_model():
-    # weight-0 chain edge: crossing probability equals frontier_advance
+def test_chain_advance_frequency_matches_geometric_model(monkeypatch):
+    # weight-0 chain edge: crossing probability equals FRONTIER_ADVANCE
     g = weight0_chain(2)
     parent = seed_of(ExecutionTrace(functions=frozenset({0})))
-    model = MutationModel(locality=1.0, frontier_advance=0.5)
+    monkeypatch.setattr(simulator, "LOCALITY", 1.0)
+    monkeypatch.setattr(simulator, "FRONTIER_ADVANCE", 0.5)
     rng = random.Random(13)
     hits = sum(
-        1 in execute_mutation(parent, model, g, rng).functions
+        1 in execute_mutation(parent, g, rng).functions
         for _ in range(10_000)
     )
     assert abs(hits / 10_000 - 0.5) < 0.02
@@ -189,9 +192,8 @@ def test_chain_advance_frequency_matches_geometric_model():
 def test_mutation_deterministic_given_rng_state():
     g = standard_graph()
     parent = seed_of(ExecutionTrace(functions=frozenset({0})))
-    model = MutationModel()
-    t1 = execute_mutation(parent, model, g, random.Random(77))
-    t2 = execute_mutation(parent, model, g, random.Random(77))
+    t1 = execute_mutation(parent, g, random.Random(77))
+    t2 = execute_mutation(parent, g, random.Random(77))
     assert t1 == t2
 
 
@@ -204,10 +206,9 @@ def test_traces_stay_inside_ground_truth():
     for a, b in gt:
         gt_adj.setdefault(a, set()).add(b)
     rng = random.Random(4)
-    model = MutationModel()
-    trace = execute_mutation(None, model, g, rng)
+    trace = execute_mutation(None, g, rng)
     for _ in range(200):
-        trace = execute_mutation(seed_of(trace), model, g, rng)
+        trace = execute_mutation(seed_of(trace), g, rng)
         # every non-entry function is reachable from the entry inside the trace
         seen = {ENTRY_FUNCTION}
         work = [ENTRY_FUNCTION]
@@ -232,11 +233,10 @@ def test_closer_is_likelier_calibration():
     # reaching a function may not rise with its seed distance.
     g = standard_graph()
     dmap = build_distance_map(g)
-    model = MutationModel()
     rng = random.Random(9)
     counts: dict = {}
     totals: dict = {}
-    parents = [execute_mutation(None, model, g, rng)]
+    parents = [execute_mutation(None, g, rng)]
     dist_cache: dict = {}
     all_fids = [f.id for f in g.functions]
     for _ in range(4000):
@@ -248,7 +248,7 @@ def test_closer_is_likelier_calibration():
                 if fid not in ptrace.functions
             }
         dists = dist_cache[ptrace.functions]
-        child = execute_mutation(seed_of(ptrace), model, g, rng)
+        child = execute_mutation(seed_of(ptrace), g, rng)
         if len(parents) < 200 and rng.random() < 0.2:
             parents.append(child)
         for fid, d in dists.items():
@@ -262,11 +262,11 @@ def test_closer_is_likelier_calibration():
     assert all(a >= b for a, b in zip(freq, freq[1:])), freq
 
 
-def test_exec_time_scales_with_trace_size():
-    model = MutationModel(exec_time_jitter=0.0)
+def test_exec_time_scales_with_trace_size(monkeypatch):
+    monkeypatch.setattr(simulator, "EXEC_TIME_JITTER", 0.0)
     rng = random.Random(0)
-    small = sample_exec_time(model, 5, rng)
-    large = sample_exec_time(model, 100, rng)
+    small = sample_exec_time(5, rng)
+    large = sample_exec_time(100, rng)
     assert small < large
 
 
@@ -436,6 +436,43 @@ def test_every_simulated_result_reloads_to_the_same_bytes(
     assert CampaignResult.from_json_bytes(raw).to_json_bytes() == raw
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    graph_seed=st.integers(0, 2**32),
+    scheduler=st.sampled_from(SCHEDULERS),
+    duration=st.integers(0, 150),
+    executions_per_tick=st.integers(1, 3),
+    rng_seed=st.integers(0, 2**16),
+    windows=st.tuples(*[st.integers(0, 25)] * 3),
+    exploit_fraction=st.sampled_from([0.2, 0.5, 1.0]),
+    include_triggered=st.booleans(),
+)
+def test_campaign_matches_the_reference_campaign(
+    graph_seed, scheduler, duration, executions_per_tick, rng_seed, windows,
+    exploit_fraction, include_triggered,
+):
+    # Short windows walk the fishfuzz phases, and their carried cull state,
+    # several times within the duration.
+    g = graph_from_dict(random_graph_dict(random.Random(graph_seed), max_functions=20))
+    assume(scheduler != "harmonic_directed" or g.targets())
+    w_function, w_reach, w_trigger = windows
+    config = CampaignConfig(
+        scheduler=scheduler, duration=duration, executions_per_tick=executions_per_tick,
+        rng_seed=rng_seed,
+        scheduler_config=SchedulerConfig(
+            w_function=w_function, w_reach=w_reach, w_trigger=w_trigger,
+            exploit_fraction=exploit_fraction,
+            exploit_include_triggered=include_triggered,
+        ),
+    )
+    result, queue = run_campaign_with_queue(g, config)
+    fields, rows = oracle_campaign(g, config)
+    expected = CampaignResult(graph_hash=graph_hash(g), **fields)
+    assert result.to_json_bytes() == expected.to_json_bytes()
+    assert [(s.id, s.parent, s.created_at, s.exec_time, s.size, s.favor)
+            for s in queue] == rows
+
+
 def test_unknown_scheduler_rejected():
     with pytest.raises(ValueError, match="unknown scheduler"):
         CampaignConfig(scheduler="alphabetical", duration=10)
@@ -453,6 +490,13 @@ def test_campaign_config_rejects_a_value_its_result_could_not_hold(name, value):
     # A negative rng_seed stays valid; the round-trip property test above runs one.
     with pytest.raises(ValueError, match=f"{name} must be an int"):
         CampaignConfig("afl_favor", **{"duration": 5, name: value})
+
+
+@pytest.mark.parametrize("value", [None, {"w_function": 30}])
+def test_campaign_config_rejects_a_scheduler_config_of_another_type(value):
+    # None used to fail only inside the loop, with an AttributeError.
+    with pytest.raises(ValueError, match="scheduler_config must be a SchedulerConfig"):
+        CampaignConfig("fishfuzz", 5, scheduler_config=value)
 
 
 # ---------------------------------------------------------------------------
