@@ -28,6 +28,7 @@ from .graph import (
     canonical_json,
     check_fields,
     graph_hash,
+    postorder,
     read_json,
     shortest_paths,
 )
@@ -113,14 +114,19 @@ def _collector_paused():
 
 @_collector_paused()
 def build_distance_map(graph: ProgramGraph) -> StaticDistanceMap:
-    """All-pairs dff over the weighted direct calls: one Dijkstra row per source."""
-    weights = graph.call_weights
-    adj: dict[int, list[tuple[int, int]]] = {f.id: [] for f in graph.functions}
-    for (a, b), w in sorted(weights.items()):
-        if w is not None:
-            adj[a].append((b, w))
-    rows = tuple(shortest_paths(adj, [src]) for src in range(graph.n_functions))
-    return StaticDistanceMap(built_from=graph_hash(graph), weights=weights, rows=rows)
+    """All-pairs dff over the weighted direct calls: one Dijkstra row per source.
+
+    Sources go in depth-first finishing order, so on the acyclic parts of the
+    call graph every callee's row is finished before its callers' rows, and
+    a caller's Dijkstra merges those rows instead of walking past them.
+    """
+    adj = graph.call_adjacency
+    rows: list = [None] * graph.n_functions
+    for src in postorder(adj, graph.n_functions):
+        rows[src] = shortest_paths(adj, [src], rows)
+    return StaticDistanceMap(
+        built_from=graph_hash(graph), weights=graph.call_weights, rows=tuple(rows)
+    )
 
 
 def harmonic_distance(trace, targets: list[Target], graph: ProgramGraph) -> float:

@@ -148,6 +148,16 @@ class ProgramGraph:
         return MappingProxyType(out)
 
     @cached_property
+    def call_adjacency(self) -> MappingProxyType:
+        """Function id -> ((callee, weight), ...), callees ascending, over the
+        direct calls whose weight is not None: the graph every dff walks."""
+        adj: dict[int, list] = {f.id: [] for f in self.functions}
+        for (a, b), w in sorted(self.call_weights.items()):
+            if w is not None:
+                adj[a].append((b, w))
+        return MappingProxyType({a: tuple(vs) for a, vs in adj.items()})
+
+    @cached_property
     def content_hash(self) -> str:
         """SHA-256 of the canonical serialization: what a map is built from."""
         return hashlib.sha256(canonical_bytes(self)).hexdigest()
@@ -480,18 +490,31 @@ def dbb(function: Function, src: int, dst: int) -> Optional[int]:
     return dbb_from(function, src).get(dst)
 
 
-def shortest_paths(adj, sources) -> dict[int, int]:
+def shortest_paths(adj, sources, rows=None) -> dict[int, int]:
     """Least total weight from any source to every reachable node (Dijkstra).
 
     ``adj`` maps a node to its (neighbour, weight >= 0) pairs; a missing
     node has none. Sources are at distance 0. The unweighted walk is
     bfs_hops.
+
+    ``rows``, when given, is indexed by node: rows[u] is either None or u's
+    finished answer, {x: least weight from u to x}. A settled node u with a
+    finished row is not expanded; d + rows[u][x] is merged for each x
+    instead. That is exact: a path either stays among expanded nodes or
+    first enters some finished u, and rows[u] holds its best continuation.
     """
     dist = {s: 0 for s in sorted(sources)}
     heap = [(0, s) for s in dist]  # sorted, so already a heap
     while heap:
         d, u = heapq.heappop(heap)
         if d > dist[u]:
+            continue
+        row = None if rows is None else rows[u]
+        if row is not None:
+            for x, dx in row.items():
+                nd = d + dx
+                if x not in dist or nd < dist[x]:
+                    dist[x] = nd
             continue
         for v, w in adj.get(u, ()):
             nd = d + w
@@ -519,3 +542,31 @@ def bfs_hops(successors, sources, allowed=None) -> dict[int, int]:
                 dist[v] = hops
                 dq.append(v)
     return dist
+
+
+def postorder(adj, n: int) -> list[int]:
+    """Nodes 0..n-1 in depth-first finishing order over ``adj``.
+
+    ``adj`` is shortest_paths' (neighbour, weight) table; weights are
+    ignored. Roots are tried in ascending order and neighbours in the order
+    ``adj`` lists them. On an acyclic graph each node comes after every node
+    it reaches. An explicit stack, so a long call chain cannot overflow.
+    """
+    seen = [False] * n
+    order: list[int] = []
+    for root in range(n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        stack = [(root, iter(adj.get(root, ())))]
+        while stack:
+            u, edges = stack[-1]
+            for v, _ in edges:
+                if not seen[v]:
+                    seen[v] = True
+                    stack.append((v, iter(adj.get(v, ()))))
+                    break
+            else:
+                stack.pop()
+                order.append(u)
+    return order

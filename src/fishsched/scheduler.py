@@ -56,7 +56,7 @@ class PhaseClock:
             self.last_new_target_triggered = max(self.last_new_target_triggered, now)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SchedulerConfig:
     w_function: float = 30 * TICKS_PER_VIRTUAL_MINUTE
     w_reach: float = 10 * TICKS_PER_VIRTUAL_MINUTE

@@ -17,6 +17,7 @@ from fishsched.simulator import (
     generate_program,
     run_campaign,
 )
+from conftest import FIXTURES
 
 
 def run_cli(capsys, *argv):
@@ -395,6 +396,19 @@ def _map_of(tmp_path, graph_file):
     return str(map_path)
 
 
+def _fig2_map_with(tmp_path, old_row, new_row):
+    """The fig2 graph and its map with dff row old_row replaced by new_row,
+    or new_row added when old_row is None."""
+    graph_file = str(FIXTURES / "fig2.graph")
+    map_path = Path(_map_of(tmp_path, graph_file))
+    data = json.loads(map_path.read_text())
+    if old_row is None:
+        data["dff"].append(new_row)
+    else:
+        data["dff"][data["dff"].index(old_row)] = new_row
+    return ["distance", "--graph", graph_file, "--map", _write(map_path, data)]
+
+
 def _file(tmp_path, name, content):
     """A file holding content (text or bytes); a directory when content is None."""
     path = tmp_path / name
@@ -632,6 +646,25 @@ BAD_INPUTS = {
         lambda tmp, g: ["distance", "--graph", g, "--dff", "0", "1",
                         "--map", _map_with_a_wrong_weight(tmp, g)],
         "g.map: weight (0,1) is 2, the graph's is 1\n",
+    ),
+    # A map answer the graph cannot give: each query reads a tampered row.
+    "map dff row the graph disagrees with, read by --dff": (
+        lambda tmp, g: _fig2_map_with(tmp, [0, 1, 0], [0, 1, 99]) + ["--dff", "0", "1"],
+        "g.map: --dff 0 1 reads 99 from the map, but the graph's distance is 0\n",
+    ),
+    "map dff row the graph disagrees with, read by --dsf": (
+        lambda tmp, g: _fig2_map_with(tmp, [0, 1, 0], [0, 1, 99])
+        + ["--dsf", _trace(tmp, functions="0"), "1"],
+        "s.trace 1 reads 99 from the map, but the graph's distance is 0\n",
+    ),
+    "map dff row the graph lacks, read by --dff": (
+        lambda tmp, g: _fig2_map_with(tmp, None, [6, 0, 3]) + ["--dff", "6", "0"],
+        "g.map: --dff 6 0 reads 3 from the map, but the graph's distance is inf\n",
+    ),
+    "map dff row the graph lacks, read by --multi": (
+        lambda tmp, g: _fig2_map_with(tmp, None, [6, 5, 3])
+        + ["--multi", _trace(tmp, functions="6"), "0,1"],
+        "s.trace target 1 reads 3 from the map, but the graph's distance is inf\n",
     ),
     # A path that exists but cannot be read.
     "graph is a directory": (

@@ -1,6 +1,7 @@
 """The per-source rows of the static distance map against networkx, and the
 saved bytes of the standard graph's map."""
 
+import dataclasses
 import hashlib
 import tempfile
 from pathlib import Path
@@ -10,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fishsched.distance import build_distance_map, load_distance_map, save_distance_map
-from fishsched.graph import graph_from_dict
-from fishsched.simulator import standard_graph
+from fishsched.graph import graph_from_dict, shortest_paths
+from fishsched.simulator import STANDARD_SPEC, generate_program, standard_graph
 from oracles import oracle_weights, random_graph_dict
 
 nx = pytest.importorskip("networkx")
@@ -62,3 +63,22 @@ def test_standard_map_bytes_are_pinned(tmp_path):
     path = tmp_path / "standard.map"
     save_distance_map(build_distance_map(standard_graph()), str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == STANDARD_MAP_SHA256
+
+
+@settings(max_examples=100, deadline=None)
+@given(rng=st.randoms(use_true_random=False), edge_rate=st.floats(0.5, 4.0))
+def test_rows_reusing_finished_rows_equal_one_dijkstra_per_source(rng, edge_rate):
+    # Dense call cycles and zero-weight calls: callers share cycles with the
+    # rows they merge, and a merged row can tie an expanded path.
+    graph = graph_from_dict(
+        random_graph_dict(rng, max_functions=60, edge_rate=edge_rate)
+    )
+    rows = build_distance_map(graph).rows
+    adj = graph.call_adjacency
+    assert list(rows) == [shortest_paths(adj, [s]) for s in range(graph.n_functions)]
+
+
+def test_a_generated_1000_function_map_matches_networkx():
+    graph = generate_program(dataclasses.replace(STANDARD_SPEC, n_functions=1000))
+    dmap = build_distance_map(graph)
+    assert dict(dmap.dff) == networkx_dff(graph)

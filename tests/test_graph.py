@@ -16,6 +16,7 @@ from fishsched.graph import (
     graph_from_dict,
     graph_hash,
     load_program,
+    postorder,
     save_program,
     shortest_paths,
 )
@@ -404,3 +405,28 @@ def test_shortest_paths_matches_networkx_dijkstra():
         sources = rng.sample(range(n), rng.randint(1, n))
         expected = nx.multi_source_dijkstra_path_length(g, sources)
         assert shortest_paths(adj, sources) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_postorder_lists_each_node_once_and_callees_first_on_a_dag(rng):
+    n = rng.randint(1, 40)
+    adj: dict = {}
+    for _ in range(rng.randint(0, 3 * n)):
+        u, v = rng.randrange(n), rng.randrange(n)
+        adj.setdefault(u, []).append((v, rng.randint(0, 3)))
+    assert sorted(postorder(adj, n)) == list(range(n))
+
+    # Edges only from a higher to a lower id: acyclic, so every callee
+    # finishes before each of its callers.
+    dag = {u: [(v, w) for v, w in vs if v < u] for u, vs in adj.items()}
+    position = {u: k for k, u in enumerate(postorder(dag, n))}
+    for u, vs in dag.items():
+        for v, _ in vs:
+            assert position[v] < position[u]
+
+
+def test_postorder_of_a_long_chain_needs_no_recursion():
+    n = 50_000
+    chain = {u: [(u + 1, 0)] for u in range(n - 1)}
+    assert postorder(chain, n) == list(range(n - 1, -1, -1))

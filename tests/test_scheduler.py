@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -458,6 +459,17 @@ def test_phase_step_is_pure_replay():
 def test_scheduler_config_checks_each_type_before_its_range(name, value, kind):
     with pytest.raises(ValueError, match=f"^{name} must be a {kind}$"):
         SchedulerConfig(**{name: value})
+
+
+@pytest.mark.parametrize("name, value", [
+    ("exploit_fraction", 7.5),
+    ("w_reach", float("nan")),
+])
+def test_scheduler_config_fields_cannot_be_set_after_the_checks(name, value):
+    cfg = SchedulerConfig()
+    with pytest.raises(FrozenInstanceError):
+        setattr(cfg, name, value)
+    assert cfg == SchedulerConfig()
 
 
 # ---------------------------------------------------------------------------
