@@ -23,7 +23,8 @@ from .distance import (
     save_distance_map,
 )
 from .execution import (
-    ExecutionTrace, dsf, multi_target_distance, parse_trace_line, traversed_functions,
+    ExecutionTrace, dsf, multi_target_distance, parse_decimal, parse_trace_line,
+    traversed_functions,
 )
 from .graph import (
     InputError, check_fields, decode_text, load_program, read_bytes, read_json,
@@ -99,22 +100,21 @@ def cmd_distance(args) -> None:
     if args.dff is not None:
         fids = args.dff
     elif args.dsf is not None:
-        seed, fids = _read_trace(args.dsf[0]), [args.dsf[1]]
+        seed, fids = _read_trace(args.dsf[0]), [parse_decimal(args.dsf[1])]
     elif args.multi is not None:
-        seed, tids = _read_trace(args.multi[0]), args.multi[1].split(",")
+        seed = _read_trace(args.multi[0])
+        tids = [parse_decimal(t) for t in args.multi[1].split(",") if t]
     else:
         seed = _read_trace(args.harmonic)
     # Every id the query names, on the command line or in the trace, must be
     # in the graph: a distance to an unknown function would print as inf.
     trace = seed.trace if seed is not None else ExecutionTrace()
     try:
-        fids = [int(f) for f in fids]
-        tids = [int(t) for t in tids if t]
         for fid in [*fids, *trace.functions]:
             graph.function(fid)
         for tid in [*tids, *trace.targets_reached]:
             graph.target(tid)
-    except (KeyError, ValueError) as exc:
+    except KeyError as exc:
         raise InputError(exc.args[0]) from None
     if args.multi is not None and not tids:
         raise InputError(f"--multi names no target: {args.multi[1]!r}")
@@ -299,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True, help="program graph file (JSON)")
     p.add_argument("--map", required=True, help="distance-map file from 'analyze'")
     query = p.add_mutually_exclusive_group(required=True)
-    query.add_argument("--dff", nargs=2, type=int, metavar=("A", "B"),
+    query.add_argument("--dff", nargs=2, type=parse_decimal, metavar=("A", "B"),
                        help="function-to-function distance")
     query.add_argument("--dsf", nargs=2, metavar=("TRACE", "F"),
                        help="seed-to-function distance from a trace file")

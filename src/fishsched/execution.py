@@ -7,10 +7,11 @@ over immutable inputs.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from .graph import ENTRY_FUNCTION, ProgramGraph
+from .graph import ENTRY_FUNCTION, InputError, ProgramGraph
 
 if TYPE_CHECKING:  # distance imports this module
     from .distance import StaticDistanceMap
@@ -52,16 +53,13 @@ def traversed_functions(trace: ExecutionTrace) -> frozenset:
 
 
 def dsf(seed: Seed, fid: int, dmap: StaticDistanceMap) -> Optional[int]:
-    """Distance between the functions traversed by a seed and a function.
+    """The one seed-to-function distance: from the functions a seed traverses to fid.
 
     Zero when the seed already traverses fid, otherwise the minimum static
     distance from any traversed function; None when no traversed function
     reaches fid statically.
     """
-    return dsf_of_functions(traversed_functions(seed.trace), fid, dmap)
-
-
-def dsf_of_functions(funcs, fid: int, dmap: StaticDistanceMap) -> Optional[int]:
+    funcs = traversed_functions(seed.trace)
     if fid in funcs:
         return 0
     rows = dmap.rows
@@ -87,14 +85,13 @@ def multi_target_distance(
     the seed's distance to the target's owner function, None when no
     traversed function reaches it statically.
     """
-    funcs = traversed_functions(seed.trace)
     entries: dict[int, Optional[int]] = {}
     for tid in targets:
         target = graph.target(tid)
         if ranking.state(tid).triggered:
             entries[tid] = 0
         else:
-            entries[tid] = dsf_of_functions(funcs, target.function, dmap)
+            entries[tid] = dsf(seed, target.function, dmap)
     return entries
 
 
@@ -103,15 +100,27 @@ def multi_target_distance(
 # ---------------------------------------------------------------------------
 
 
+def parse_decimal(text: str) -> int:
+    """A number as trace files and distance queries write it: an optional '-'
+    and ASCII digits, with surrounding spaces stripped."""
+    digits = text.strip()
+    try:
+        if re.fullmatch(r"-?[0-9]+", digits):
+            return int(digits)
+    except ValueError:  # more digits than int() converts
+        pass
+    raise InputError(f"expected a decimal integer, got {text!r}")
+
+
 def parse_trace_line(line: str) -> Seed:
     parts = [p.strip() for p in line.strip().split(";")]
     if len(parts) != 6:
         raise ValueError(f"trace line must have 6 fields, got {len(parts)}")
-    sid, exec_time, size = int(parts[0]), int(parts[1]), int(parts[2])
+    sid, exec_time, size = (parse_decimal(p) for p in parts[:3])
     fields = {}
     for part in parts[3:]:
         key, _, value = part.partition("=")
-        fields[key] = frozenset(int(x) for x in value.split(",") if x != "")
+        fields[key] = frozenset(parse_decimal(x) for x in value.split(",") if x != "")
     for key in ("functions", "reached", "triggered"):
         if key not in fields:
             raise ValueError(f"trace line missing '{key}=' field")

@@ -272,6 +272,11 @@ def _function(obj: dict, where: str, remap: dict, call_edges: set,
                 f"function {fid}: block {b.id} successor {s} "
                 "is not a block of the same function"
             )
+        if len(set(b.successors)) != len(b.successors):
+            s = next(s for k, s in enumerate(b.successors) if s in b.successors[:k])
+            raise ValidationError(
+                f"function {fid}: block {b.id} lists successor {s} twice"
+            )
 
     targets = []
     for j, tobj in enumerate(_list_field(obj, "targets", where)):

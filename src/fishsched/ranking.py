@@ -73,9 +73,7 @@ class TargetRanking:
         return UpdateSummary(new_reached=new_reached, new_triggered=new_triggered)
 
 
-def reached_untriggered(
-    ranking: TargetRanking, exclude_triggered: bool = False
-) -> list[int]:
+def reached_untriggered(ranking: TargetRanking, exclude_triggered: bool) -> list[int]:
     """Reached targets, ascending by id.
 
     The literal cull filter keeps triggered targets in the list (their

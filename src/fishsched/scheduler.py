@@ -8,9 +8,10 @@ cull and harmonic_directed only harmonic_cull. Each cull folds, then
 picks: its last step hands the ids it favors to _favor_only, the one
 writer of Seed.favor, so favors never leak across phases.
 
-The coverage, exploitation and harmonic culls keep their per-key best
-seed in a BestSeeds state that folds in only the seeds queued since the
-last call, the way AFL updates top_rated once per admitted seed. The
+Every cull takes its distance function and its fold state from its
+caller. The coverage, exploitation and harmonic culls keep their per-key
+best seed in a BestSeeds state that folds in only the seeds queued since
+the last call, the way AFL updates top_rated once per admitted seed. The
 closest-seed scan by dsf is _closest, shared by the inter-function cull
 and the exploitation fallback.
 """
@@ -23,8 +24,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .distance import StaticDistanceMap
-from .execution import Seed, dsf
+from .execution import Seed
 from .graph import ProgramGraph
 from .ranking import TargetRanking, UpdateSummary, order_by_hits, reached_untriggered
 
@@ -128,14 +128,14 @@ class BestSeeds:
         return best
 
 
-def _closest(queue: list[Seed], fid: int, dmap, dsf_fn) -> Optional[int]:
-    """The id of the seed nearest function fid by dsf.
+def _closest(
+    queue: list[Seed], fid: int, dsf_fn: Callable[[Seed, int], Optional[int]]
+) -> Optional[int]:
+    """The id of the seed nearest function fid by dsf_fn(seed, fid).
 
-    dsf_fn, when given, stands in for dsf over dmap. Ties on distance go to
-    the faster, then the older seed. None when no seed has a finite distance.
+    Ties on distance go to the faster, then the older seed. None when no
+    seed has a finite distance.
     """
-    if dsf_fn is None:
-        dsf_fn = lambda seed, f: dsf(seed, f, dmap)
     best = None
     for s in queue:
         d = dsf_fn(s, fid)
@@ -150,13 +150,12 @@ def _closest(queue: list[Seed], fid: int, dmap, dsf_fn) -> Optional[int]:
 def inter_function_cull(
     queue: list[Seed],
     fstate: FunctionExplorationState,
-    dmap: StaticDistanceMap,
-    dsf_fn: Optional[Callable[[Seed, int], Optional[int]]] = None,
+    dsf_fn: Callable[[Seed, int], Optional[int]],
 ) -> None:
     """Favor the closest seed (_closest) for each unexplored target function."""
     closest = set()
     for fid in fstate.unexplored_target_functions():
-        closest.add(_closest(queue, fid, dmap, dsf_fn))
+        closest.add(_closest(queue, fid, dsf_fn))
     _favor_only(queue, closest)
 
 
@@ -177,10 +176,9 @@ def exploitation_cull(
     queue: list[Seed],
     ranking: TargetRanking,
     cfg: SchedulerConfig,
-    dmap: StaticDistanceMap,
     graph: ProgramGraph,
-    dsf_fn: Optional[Callable[[Seed, int], Optional[int]]] = None,
-    state: Optional[BestSeeds] = None,
+    state: BestSeeds,
+    dsf_fn: Callable[[Seed, int], Optional[int]],
 ) -> list[int]:
     """Favor the fastest seed for each of the least-hit reached targets.
 
@@ -188,10 +186,8 @@ def exploitation_cull(
     trace reached it; if no queued seed reaches it, the minimum-distance
     seed is favored so the pass stays total. Returns the serviced targets.
     state carries the fastest reaching seed per target across calls on one
-    growing queue; without it the whole queue is folded afresh.
+    growing queue.
     """
-    if state is None:
-        state = BestSeeds()
     reaching = state.fold(
         queue, lambda s: s.trace.targets_reached, lambda s: (s.exec_time, s.id)
     )
@@ -203,7 +199,7 @@ def exploitation_cull(
             favored.add(hit[1].id)
             continue
         # No queued seed reaches tid, so every seed competes on distance.
-        favored.add(_closest(queue, graph.target(tid).function, dmap, dsf_fn))
+        favored.add(_closest(queue, graph.target(tid).function, dsf_fn))
     _favor_only(queue, favored)
     return serviced
 
@@ -222,16 +218,13 @@ def harmonic_cull(
     _favor_only(queue, {nearest[None][1].id} if nearest else set())
 
 
-def intra_function_cull(queue: list[Seed], state: Optional[BestSeeds] = None) -> None:
+def intra_function_cull(queue: list[Seed], state: BestSeeds) -> None:
     """Coverage culling: per covered edge, the smallest-and-fastest seed wins.
 
     Greedy marking in ascending edge order: a winner claims all of its
     edges and already-claimed edges are skipped. state is AFL's top_rated
-    carried across calls on one growing queue; without it the whole queue
-    is folded afresh.
+    carried across calls on one growing queue.
     """
-    if state is None:
-        state = BestSeeds()
     top_rated = state.fold(
         queue, lambda s: s.trace.edges, lambda s: (s.exec_time * s.size, s.id)
     )

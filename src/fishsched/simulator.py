@@ -562,16 +562,15 @@ def run_campaign_with_queue(graph: ProgramGraph, config: CampaignConfig):
     def cull() -> None:
         if policy == "fishfuzz":
             if phase is Phase.INTER_EXPLORE:
-                inter_function_cull(queue, fstate, dmap, dsf_fn=cached_dsf)
+                inter_function_cull(queue, fstate, dsf_fn=cached_dsf)
             elif phase is Phase.INTRA_EXPLORE:
-                intra_function_cull(queue, state=intra_state)
+                intra_function_cull(queue, intra_state)
             else:
                 exploitation_cull(
-                    queue, ranking, cfg, dmap, graph, dsf_fn=cached_dsf,
-                    state=exploit_state,
+                    queue, ranking, cfg, graph, exploit_state, dsf_fn=cached_dsf
                 )
         elif policy == "afl_favor":
-            intra_function_cull(queue, state=intra_state)
+            intra_function_cull(queue, intra_state)
         elif policy == "harmonic_directed":
             harmonic_cull(
                 queue,

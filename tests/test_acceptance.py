@@ -7,6 +7,7 @@ and enforces the criterion's runtime budget.
 import math
 import random
 import time
+from functools import partial
 
 from fishsched.cli import main as cli_main
 from fishsched.compare import gini, never_hit_count
@@ -15,6 +16,7 @@ from fishsched.execution import ExecutionTrace, Seed, dsf, multi_target_distance
 from fishsched.graph import ENTRY_FUNCTION, graph_from_dict, load_program
 from fishsched.ranking import TargetRanking, UpdateSummary
 from fishsched.scheduler import (
+    BestSeeds,
     FunctionExplorationState,
     Phase,
     PhaseClock,
@@ -209,7 +211,7 @@ def test_cull_fidelity_exhaustive_scan():
         graph, dmap, queue, fstate, ranking = _random_cull_state(rng)
         states += 1
 
-        inter_function_cull(queue, fstate, dmap)
+        inter_function_cull(queue, fstate, partial(dsf, dmap=dmap))
         expected = set()
         for fid in sorted(fstate.has_targets - fstate.explored):
             best = None
@@ -227,7 +229,8 @@ def test_cull_fidelity_exhaustive_scan():
             failures.append("inter")
 
         cfg = SchedulerConfig()
-        exploitation_cull(queue, ranking, cfg, dmap, graph)
+        exploitation_cull(queue, ranking, cfg, graph, BestSeeds(),
+                          partial(dsf, dmap=dmap))
         candidates = [
             t.id
             for t in graph.targets()

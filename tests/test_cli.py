@@ -746,6 +746,27 @@ BAD_INPUTS = {
         lambda tmp, g: _distance(tmp, g, "--dsf", _trace(tmp, functions="-1"), "1"),
         "fishsched: unknown function id -1\n",
     ),
+    # Ids are ASCII decimal: int() would also read 1_0 as 10, an Arabic-Indic
+    # three as 3 and +1 as 1.
+    "trace naming a function with an underscore": (
+        lambda tmp, g: _distance(tmp, g, "--dsf", _trace(tmp, functions="0,1_0"), "1"),
+        "s.trace: expected a decimal integer, got '1_0'\n",
+    ),
+    "trace naming a function in Arabic-Indic digits": (
+        lambda tmp, g: _distance(tmp, g, "--dsf", _file(
+            tmp, "s.trace",
+            "1; 50; 8; functions=\u0663; reached=; triggered=\n".encode(),
+        ), "1"),
+        "s.trace: expected a decimal integer, got '\u0663'\n",
+    ),
+    "dsf to a function with an underscore": (
+        lambda tmp, g: _distance(tmp, g, "--dsf", _trace(tmp), "1_0"),
+        "fishsched: expected a decimal integer, got '1_0'\n",
+    ),
+    "multi with a plus-signed target": (
+        lambda tmp, g: _distance(tmp, g, "--multi", _trace(tmp), "+1"),
+        "fishsched: expected a decimal integer, got '+1'\n",
+    ),
     "harmonic of a trace naming an unknown function": (
         lambda tmp, g: _distance(tmp, g, "--harmonic", _trace(tmp, functions="99999")),
         "fishsched: unknown function id 99999",
@@ -899,6 +920,10 @@ BAD_GRAPHS = {
         lambda tmp: _graph_with(tmp, "blocks", {"id": 0}),
         "functions[0].blocks: expected list",
     ),
+    "succ holds a string": (
+        lambda tmp: _graph_with(tmp, "succ", [1, "x"]),
+        "functions[0].blocks[0].succ[1]: expected non-negative integer, got 'x'",
+    ),
 }
 
 
@@ -942,6 +967,11 @@ BAD_RESULTS = {
         "energy",
         lambda tmp, g: [_result_with(tmp, g, target_hits={"1": "x"})],
         "field 'target_hits'",
+    ),
+    "target id is not a number": (
+        "energy",
+        lambda tmp, g: [_result_with(tmp, g, target_hits={"x": 1})],
+        "field 'target_hits' has the wrong type, shape or sign",
     ),
     "phase timeline row of one number": (
         "phases",

@@ -223,6 +223,11 @@ SPARSE_FAULTS = {
         lambda d: d["functions"][1]["blocks"][0]["succ"].append(1),
         "function 40: block 0 successor 1 is not a block of the same function",
     ),
+    # A repeated successor would make a one-way block count as a branch.
+    "repeated successor": (
+        lambda d: d["functions"][0]["blocks"][0]["succ"].append(1),
+        "function 10: block 0 lists successor 1 twice",
+    ),
     "unknown callee": (
         lambda d: d["functions"][0]["blocks"][1]["calls"].append(25),
         "function 10: block 1 calls unknown function 25",
@@ -234,6 +239,10 @@ SPARSE_FAULTS = {
     "indirect edge from a missing block": (
         lambda d: d["indirect_edges"][0].update(from_block=7),
         "indirect edge from function 40: block 7 not found",
+    ),
+    "indirect edge to a missing function": (
+        lambda d: d["indirect_edges"][0].update(to_fn=99),
+        "indirect edge 40->99 references unknown function",
     ),
 }
 

@@ -3,6 +3,8 @@ state favors, at every step of a queue that grows one seed at a
 time while the target ranking moves underneath it.
 """
 
+from functools import partial
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -76,9 +78,9 @@ def check_growth(steps, cfg) -> int:
             ranking.record_execution(other, sid)
         queue.append(Seed(id=sid, exec_time=exec_time, size=size, trace=trace))
 
-        intra_function_cull(queue, state=intra_state)
+        intra_function_cull(queue, intra_state)
         carried = _favored(queue)
-        intra_function_cull(queue)
+        intra_function_cull(queue, BestSeeds())
         assert carried == _favored(queue)
         assert intra_state.seen == len(queue)
 
@@ -104,10 +106,13 @@ def check_growth(steps, cfg) -> int:
             return dsf(seed, fid, DMAP)
 
         serviced = exploitation_cull(
-            queue, ranking, cfg, DMAP, GRAPH, dsf_fn=counted, state=exploit_state
+            queue, ranking, cfg, GRAPH, exploit_state, dsf_fn=counted
         )
         carried = _favored(queue)
-        assert exploitation_cull(queue, ranking, cfg, DMAP, GRAPH) == serviced
+        fresh = exploitation_cull(
+            queue, ranking, cfg, GRAPH, BestSeeds(), partial(dsf, dmap=DMAP)
+        )
+        assert fresh == serviced
         assert carried == _favored(queue)
 
         unreached = [

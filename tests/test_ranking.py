@@ -84,12 +84,12 @@ def test_unknown_target_in_trace_raises():
 
 def test_reached_untriggered_variants():
     r = TargetRanking(graph_with_targets(5))
-    assert reached_untriggered(r) == []
+    assert reached_untriggered(r, exclude_triggered=False) == []
     r.record_execution(trace(reached=[2]), now=1)
-    assert reached_untriggered(r) == [2]
+    assert reached_untriggered(r, exclude_triggered=False) == [2]
     r.record_execution(trace(reached=[0, 4], triggered=[4]), now=2)
     # 3 reached of which 1 triggered
-    assert reached_untriggered(r) == [0, 2, 4]
+    assert reached_untriggered(r, exclude_triggered=False) == [0, 2, 4]
     assert reached_untriggered(r, exclude_triggered=True) == [0, 2]
 
 
@@ -207,7 +207,7 @@ def test_ranking_matches_the_replay_oracle_over_sparse_permuted_ids(case):
         for include in (True, False)
     }
     # No target reached yet: no candidates, so nothing is serviced.
-    assert reached_untriggered(ranking) == []
+    assert reached_untriggered(ranking, exclude_triggered=False) == []
     assert all(serviced_targets(ranking, cfg) == [] for cfg in configs.values())
     for (reached, triggered, now), want in zip(
         steps, oracle_ranking_replay(ids, steps, FRACTIONS)
@@ -223,7 +223,7 @@ def test_ranking_matches_the_replay_oracle_over_sparse_permuted_ids(case):
         assert summary.new_functions == 0
         assert (summary.new_reached, summary.new_triggered) == want["summary"]
         assert facts(ranking, ids) == want["facts"]
-        assert reached_untriggered(ranking) == want["reached"]
+        assert reached_untriggered(ranking, exclude_triggered=False) == want["reached"]
         assert reached_untriggered(ranking, exclude_triggered=True) == want["untriggered"]
         for key, cfg in configs.items():
             assert serviced_targets(ranking, cfg) == want["serviced"][key]

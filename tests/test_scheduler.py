@@ -1,14 +1,16 @@
 import math
 import random
 from dataclasses import FrozenInstanceError
+from functools import partial
 
 import pytest
 
 from fishsched.distance import build_distance_map
-from fishsched.execution import ExecutionTrace, Seed
+from fishsched.execution import ExecutionTrace, Seed, dsf
 from fishsched.graph import graph_from_dict
 from fishsched.ranking import TargetRanking, UpdateSummary
 from fishsched.scheduler import (
+    BestSeeds,
     FunctionExplorationState,
     Phase,
     PhaseClock,
@@ -67,7 +69,7 @@ def test_inter_cull_no_unexplored_functions_favors_nobody():
     queue = [seed_with(1, {0}), seed_with(2, {0, 1})]
     for s in queue:
         s.favor = True  # stale flags must be wiped
-    inter_function_cull(queue, fstate, dmap)
+    inter_function_cull(queue, fstate, partial(dsf, dmap=dmap))
     assert all(not s.favor for s in queue)
 
 
@@ -97,7 +99,7 @@ def test_inter_cull_picks_argmin_distance():
     near = seed_with(1, {0, 1})   # dsf to fn2 = 0? no: fn2 not traversed, dff(1,2)=0
     far = seed_with(2, {0})
     queue = [far, near]
-    inter_function_cull(queue, fstate, dmap)
+    inter_function_cull(queue, fstate, partial(dsf, dmap=dmap))
     assert near.favor and not far.favor
 
 
@@ -108,12 +110,12 @@ def test_inter_cull_tie_breaks_on_exec_time_then_id():
     fstate.observe(ExecutionTrace(functions=frozenset({0})))
     slow = seed_with(1, {0}, exec_time=900)
     fast = seed_with(2, {0}, exec_time=400)
-    inter_function_cull([slow, fast], fstate, dmap)
+    inter_function_cull([slow, fast], fstate, partial(dsf, dmap=dmap))
     assert fast.favor and not slow.favor
 
     a = seed_with(1, {0}, exec_time=400)
     b = seed_with(2, {0}, exec_time=400)
-    inter_function_cull([b, a], fstate, dmap)
+    inter_function_cull([b, a], fstate, partial(dsf, dmap=dmap))
     assert a.favor and not b.favor
 
 
@@ -142,7 +144,7 @@ def test_inter_cull_one_seed_can_serve_many_functions():
     ahead = seed_with(1, {0, 1})
     behind = seed_with(2, {0})
     queue = [behind, ahead]
-    inter_function_cull(queue, fstate, dmap)
+    inter_function_cull(queue, fstate, partial(dsf, dmap=dmap))
     assert ahead.favor and not behind.favor
     assert sum(s.favor for s in queue) == 1
 
@@ -163,7 +165,7 @@ def test_inter_cull_unreachable_function_marks_nobody():
     fstate = FunctionExplorationState(g)
     fstate.observe(ExecutionTrace(functions=frozenset({0})))
     queue = [seed_with(1, {0})]
-    inter_function_cull(queue, fstate, dmap)
+    inter_function_cull(queue, fstate, partial(dsf, dmap=dmap))
     assert not queue[0].favor
 
 
@@ -202,7 +204,8 @@ def test_exploit_cull_no_reached_targets():
     r = TargetRanking(g)
     queue = [seed_with(1, {0})]
     queue[0].favor = True
-    exploitation_cull(queue, r, SchedulerConfig(), dmap, g)
+    exploitation_cull(queue, r, SchedulerConfig(), g, BestSeeds(),
+                      partial(dsf, dmap=dmap))
     assert not queue[0].favor
 
 
@@ -218,7 +221,8 @@ def test_exploit_cull_services_twenty_percent_least_hit():
         seed_with(sid=tid + 1, funcs={0, tid + 1}, reached={tid})
         for tid in range(10)
     ]
-    exploitation_cull(queue, r, SchedulerConfig(), dmap, g)
+    exploitation_cull(queue, r, SchedulerConfig(), g, BestSeeds(),
+                      partial(dsf, dmap=dmap))
     favored = sorted(s.id for s in queue if s.favor)
     assert favored == [4, 8]  # seeds reaching the two least-hit targets 7 and 3
 
@@ -229,7 +233,8 @@ def test_exploit_cull_prefers_fastest_reaching_seed():
     r = ranking_with_hits(g, {0: 1})
     slow = seed_with(1, {0, 1}, exec_time=900, reached={0})
     fast = seed_with(2, {0, 1}, exec_time=400, reached={0})
-    exploitation_cull([slow, fast], r, SchedulerConfig(), dmap, g)
+    exploitation_cull([slow, fast], r, SchedulerConfig(), g, BestSeeds(),
+                      partial(dsf, dmap=dmap))
     assert fast.favor and not slow.favor
 
 
@@ -239,7 +244,8 @@ def test_exploit_cull_falls_back_to_closest_seed():
     r = ranking_with_hits(g, {0: 1})
     # no queue seed traverses the target function but one is statically closer
     near = seed_with(1, {0})
-    exploitation_cull([near], r, SchedulerConfig(), dmap, g)
+    exploitation_cull([near], r, SchedulerConfig(), g, BestSeeds(),
+                      partial(dsf, dmap=dmap))
     assert near.favor
 
 
@@ -250,13 +256,14 @@ def test_exploit_cull_triggered_excluded_by_default_included_by_config():
     r = ranking_with_hits(g, {0: 1, 1: 5}, triggered=(0,))
     s1 = seed_with(1, {0, 1}, reached={0})
     s2 = seed_with(2, {0, 2}, reached={1})
-    exploitation_cull([s1, s2], r, SchedulerConfig(), dmap, g)
+    exploitation_cull([s1, s2], r, SchedulerConfig(), g, BestSeeds(),
+                      partial(dsf, dmap=dmap))
     assert not s1.favor and s2.favor
 
     # literal mode keeps the triggered target in the candidate list, and the
     # single serviced slot goes to it because it is least-hit
     cfg = SchedulerConfig(exploit_include_triggered=True)
-    exploitation_cull([s1, s2], r, cfg, dmap, g)
+    exploitation_cull([s1, s2], r, cfg, g, BestSeeds(), partial(dsf, dmap=dmap))
     assert s1.favor and not s2.favor
 
 
@@ -265,7 +272,8 @@ def test_exploit_cull_ceiling_never_starves_single_candidate():
     dmap = build_distance_map(g)
     r = ranking_with_hits(g, {0: 3})
     s = seed_with(1, {0, 1}, reached={0})
-    exploitation_cull([s], r, SchedulerConfig(), dmap, g)
+    exploitation_cull([s], r, SchedulerConfig(), g, BestSeeds(),
+                      partial(dsf, dmap=dmap))
     assert s.favor
 
 
@@ -280,7 +288,7 @@ def test_exploit_cull_liveness_rotates_service():
 
     favored_history = []
     for round_ in range(6):
-        exploitation_cull(queue, r, cfg, dmap, g)
+        exploitation_cull(queue, r, cfg, g, BestSeeds(), partial(dsf, dmap=dmap))
         favored = next(s for s in queue if s.favor)
         favored_history.append(favored.id)
         # hammer the serviced target so the other becomes least-hit
@@ -303,7 +311,7 @@ def test_exploit_cull_liveness_rotates_service():
 
 def test_intra_cull_single_seed_favored():
     s = seed_with(1, {0}, edges={("cfg", 0, 0, 1)})
-    intra_function_cull([s])
+    intra_function_cull([s], BestSeeds())
     assert s.favor
 
 
@@ -311,7 +319,7 @@ def test_intra_cull_dominated_seed_unfavored():
     e = {("cfg", 0, 0, 1), ("cfg", 0, 1, 2)}
     big = seed_with(1, {0}, exec_time=100, size=100, edges=e)
     small = seed_with(2, {0}, exec_time=50, size=50, edges=e)
-    intra_function_cull([big, small])
+    intra_function_cull([big, small], BestSeeds())
     assert small.favor and not big.favor
 
 
@@ -322,7 +330,7 @@ def test_intra_cull_greedy_combined_winner():
     b = seed_with(2, {0}, exec_time=100, size=10, edges={e2})
     both = seed_with(3, {0}, exec_time=50, size=10, edges={e1, e2})
     queue = [a, b, both]
-    intra_function_cull(queue)
+    intra_function_cull(queue, BestSeeds())
     assert both.favor and not a.favor and not b.favor
 
 
@@ -330,7 +338,7 @@ def test_intra_cull_two_winners_when_disjoint():
     e1, e2 = ("cfg", 0, 0, 1), ("cfg", 0, 0, 2)
     a = seed_with(1, {0}, exec_time=10, size=10, edges={e1})
     b = seed_with(2, {0}, exec_time=10, size=10, edges={e2})
-    intra_function_cull([a, b])
+    intra_function_cull([a, b], BestSeeds())
     assert a.favor and b.favor
 
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from fishsched import simulator
 from fishsched.distance import build_distance_map
-from fishsched.execution import ExecutionTrace, Seed, dsf_of_functions
+from fishsched.execution import ExecutionTrace, Seed, dsf
 from fishsched.graph import ENTRY_FUNCTION, graph_from_dict, graph_hash
 from fishsched.scheduler import SchedulerConfig
 from fishsched.simulator import (
@@ -243,7 +243,7 @@ def test_closer_is_likelier_calibration():
         ptrace = parents[rng.randrange(len(parents))]
         if ptrace.functions not in dist_cache:
             dist_cache[ptrace.functions] = {
-                fid: dsf_of_functions(ptrace.functions, fid, dmap)
+                fid: dsf(seed_of(ptrace), fid, dmap)
                 for fid in all_fids
                 if fid not in ptrace.functions
             }
