@@ -177,10 +177,9 @@ def _spec_from_file(path: str) -> SyntheticProgramSpec:
 def _scheduler_config(args) -> SchedulerConfig:
     cfg = standard_scheduler_config() if args.spec == "standard" else SchedulerConfig()
     # Each flag given overrides the SchedulerConfig field of the same name.
-    names = ("w_function", "w_reach", "w_trigger", "exploit_fraction",
-             "exploit_include_triggered")
     given = vars(args)
-    return replace(cfg, **{k: given[k] for k in names if given[k] is not None})
+    return replace(cfg, **{f.name: given[f.name] for f in fields(SchedulerConfig)
+                           if given[f.name] is not None})
 
 
 def cmd_simulate(args) -> None:
@@ -335,10 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="ticks without a new reached target before exploitation")
     p.add_argument("--w-trigger", type=float, default=None,
                    help="ticks without a new triggered target before re-exploring")
-    p.add_argument("--exploit-fraction", type=float, default=None,
-                   help="fraction of least-hit reached targets serviced (default: 0.2)")
-    p.add_argument("--exploit-include-triggered", action="store_const", const=True,
-                   help="keep triggered targets in the exploitation candidate list")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_simulate)
 

@@ -119,7 +119,9 @@ def parse_trace_line(line: str) -> Seed:
     sid, exec_time, size = (parse_decimal(p) for p in parts[:3])
     fields = {}
     for part in parts[3:]:
-        key, _, value = part.partition("=")
+        key, sep, value = part.partition("=")
+        if not sep:
+            raise ValueError(f"trace field {part!r} has no '='")
         fields[key] = frozenset(parse_decimal(x) for x in value.split(",") if x != "")
     for key in ("functions", "reached", "triggered"):
         if key not in fields:

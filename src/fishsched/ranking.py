@@ -73,17 +73,10 @@ class TargetRanking:
         return UpdateSummary(new_reached=new_reached, new_triggered=new_triggered)
 
 
-def reached_untriggered(ranking: TargetRanking, exclude_triggered: bool) -> list[int]:
-    """Reached targets, ascending by id.
-
-    The literal cull filter keeps triggered targets in the list (their
-    distance is zeroed elsewhere); exclude_triggered drops them, which is
-    what the scheduler uses by default.
-    """
+def reached_untriggered(ranking: TargetRanking) -> list[int]:
+    """Reached targets not yet triggered, ascending by id."""
     return [
-        tid
-        for tid, st in ranking._states.items()
-        if st.reached and not (exclude_triggered and st.triggered)
+        tid for tid, st in ranking._states.items() if st.reached and not st.triggered
     ]
 
 

@@ -31,6 +31,8 @@ from .ranking import TargetRanking, UpdateSummary, order_by_hits, reached_untrig
 # Virtual-clock granularity: wall-clock timeouts are expressed in ticks,
 # one tick per executed input, at this default scale.
 TICKS_PER_VIRTUAL_MINUTE = 100
+# Share of the reached, untriggered targets an exploitation pass services.
+EXPLOIT_FRACTION = 0.20
 
 
 class Phase(enum.Enum):
@@ -61,22 +63,13 @@ class SchedulerConfig:
     w_function: float = 30 * TICKS_PER_VIRTUAL_MINUTE
     w_reach: float = 10 * TICKS_PER_VIRTUAL_MINUTE
     w_trigger: float = 60 * TICKS_PER_VIRTUAL_MINUTE
-    exploit_fraction: float = 0.20
-    exploit_include_triggered: bool = False
 
     def __post_init__(self) -> None:
-        # Every type first, so that the range checks below may assume them.
-        windows = ("w_function", "w_reach", "w_trigger")
-        for name in (*windows, "exploit_fraction"):
+        for name in ("w_function", "w_reach", "w_trigger"):
             if type(getattr(self, name)) not in (int, float):
                 raise ValueError(f"{name} must be a number")
-        if type(self.exploit_include_triggered) is not bool:
-            raise ValueError("exploit_include_triggered must be a bool")
-        for name in windows:
             if not getattr(self, name) >= 0:  # NaN fails too; inf never times out
                 raise ValueError(f"{name} must be non-negative")
-        if not 0 < self.exploit_fraction <= 1:
-            raise ValueError("exploit_fraction must be in (0, 1]")
 
 
 class FunctionExplorationState:
@@ -159,23 +152,19 @@ def inter_function_cull(
     _favor_only(queue, closest)
 
 
-def serviced_targets(ranking: TargetRanking, cfg: SchedulerConfig) -> list[int]:
+def serviced_targets(ranking: TargetRanking) -> list[int]:
     """The targets an exploitation pass services, least-hit first.
 
-    Candidates are the reached targets (triggered ones dropped unless
-    configured otherwise); only the top ceil(fraction * n) are serviced.
+    Candidates are the reached targets not yet triggered; only the top
+    ceil(EXPLOIT_FRACTION * n) are serviced.
     """
-    candidates = reached_untriggered(
-        ranking, exclude_triggered=not cfg.exploit_include_triggered
-    )
-    ordered = order_by_hits(candidates, ranking)
-    return ordered[: math.ceil(len(ordered) * cfg.exploit_fraction)]
+    ordered = order_by_hits(reached_untriggered(ranking), ranking)
+    return ordered[: math.ceil(len(ordered) * EXPLOIT_FRACTION)]
 
 
 def exploitation_cull(
     queue: list[Seed],
     ranking: TargetRanking,
-    cfg: SchedulerConfig,
     graph: ProgramGraph,
     state: BestSeeds,
     dsf_fn: Callable[[Seed, int], Optional[int]],
@@ -191,7 +180,7 @@ def exploitation_cull(
     reaching = state.fold(
         queue, lambda s: s.trace.targets_reached, lambda s: (s.exec_time, s.id)
     )
-    serviced = serviced_targets(ranking, cfg)
+    serviced = serviced_targets(ranking)
     favored = set()
     for tid in serviced:
         hit = reaching.get(tid)

@@ -12,6 +12,7 @@ import random
 import statistics
 from types import SimpleNamespace
 
+from fishsched import scheduler
 from fishsched.distance import HARMONIC_ZERO_EPSILON
 from fishsched.simulator import (
     INITIAL_SEED_SIZE,
@@ -259,11 +260,9 @@ def oracle_ranking_replay(target_ids, steps, fractions=(0.2, 0.5, 1.0)):
       facts: tid -> (reached, triggered, hits, first_reached_at,
         first_triggered_at);
       summary: (new_reached, new_triggered) of the step;
-      reached: every reached id, sorted by id;
       untriggered: the reached ids not triggered, sorted by id;
-      serviced: (fraction, include_triggered) -> the candidates (reached, or
-        untriggered) ordered by (hits, id), cut to the first
-        ceil(fraction * count).
+      serviced: fraction -> the untriggered ids ordered by (hits, id), cut
+        to the first ceil(fraction * count).
     """
     flags = {
         t: {"reached": False, "triggered": False, "hits": 0,
@@ -284,13 +283,11 @@ def oracle_ranking_replay(target_ids, steps, fractions=(0.2, 0.5, 1.0)):
                 flags[t]["triggered"] = True
                 flags[t]["first_triggered_at"] = now
                 new_triggered += 1
-        all_reached = sorted(t for t in flags if flags[t]["reached"])
-        untriggered = [t for t in all_reached if not flags[t]["triggered"]]
-        serviced = {}
-        for include, candidates in ((True, all_reached), (False, untriggered)):
-            by_hits = sorted(candidates, key=lambda t: (flags[t]["hits"], t))
-            for f in fractions:
-                serviced[(f, include)] = by_hits[: math.ceil(len(by_hits) * f)]
+        untriggered = sorted(
+            t for t in flags if flags[t]["reached"] and not flags[t]["triggered"]
+        )
+        by_hits = sorted(untriggered, key=lambda t: (flags[t]["hits"], t))
+        serviced = {f: by_hits[: math.ceil(len(by_hits) * f)] for f in fractions}
         snapshots.append({
             "facts": {
                 t: (s["reached"], s["triggered"], s["hits"],
@@ -298,7 +295,6 @@ def oracle_ranking_replay(target_ids, steps, fractions=(0.2, 0.5, 1.0)):
                 for t, s in flags.items()
             },
             "summary": (new_reached, new_triggered),
-            "reached": all_reached,
             "untriggered": untriggered,
             "serviced": serviced,
         })
@@ -371,10 +367,13 @@ def oracle_campaign(graph, config):
     def exploit_winners():
         candidates = sorted(
             (st[0], tid) for tid, st in state.items()
-            if st[1] is not None and (cfg.exploit_include_triggered or st[2] is None)
+            if st[1] is not None and st[2] is None
         )
+        # Read at each call, so a test that patches the package's fraction
+        # patches this oracle's too.
+        serviced = math.ceil(len(candidates) * scheduler.EXPLOIT_FRACTION)
         winners = set()
-        for _, tid in candidates[: math.ceil(len(candidates) * cfg.exploit_fraction)]:
+        for _, tid in candidates[:serviced]:
             reaching = [(s.exec_time, s.id) for s in queue
                         if tid in s.trace.targets_reached]
             winners.add(min(reaching)[1] if reaching else closest(owner[tid]))

@@ -228,9 +228,7 @@ def test_cull_fidelity_exhaustive_scan():
         if got != expected:
             failures.append("inter")
 
-        cfg = SchedulerConfig()
-        exploitation_cull(queue, ranking, cfg, graph, BestSeeds(),
-                          partial(dsf, dmap=dmap))
+        exploitation_cull(queue, ranking, graph, BestSeeds(), partial(dsf, dmap=dmap))
         candidates = [
             t.id
             for t in graph.targets()

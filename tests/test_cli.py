@@ -21,7 +21,10 @@ from conftest import FIXTURES
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse rejects a flag by exiting
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -474,10 +477,11 @@ BAD_INPUTS = {
         lambda tmp, g: ["simulate", "--graph", g, "--executions-per-tick", "0"],
         "executions_per_tick must be at least 1",
     ),
-    "exploit fraction above one": (
-        lambda tmp, g: ["simulate", "--graph", g, "--exploit-fraction", "2"],
-        "exploit_fraction must be in (0, 1]",
-    ),
+    # The exploitation pass has no knobs.
+    **{f"removed flag {' '.join(flag)}": (
+        lambda tmp, g, flag=flag: ["simulate", "--graph", g, *flag],
+        f"unrecognized arguments: {' '.join(flag)}",
+    ) for flag in (("--exploit-fraction", "0.5"), ("--exploit-include-triggered",))},
     "compare with zero seeds": (
         lambda tmp, g: ["simulate", "--graph", g, "--compare", "fishfuzz,afl_favor",
                         "--seeds", "0"],
@@ -758,6 +762,13 @@ BAD_INPUTS = {
             "1; 50; 8; functions=\u0663; reached=; triggered=\n".encode(),
         ), "1"),
         "s.trace: expected a decimal integer, got '\u0663'\n",
+    ),
+    # A bare field name would otherwise read as an empty set.
+    "trace field without an equals sign": (
+        lambda tmp, g: _distance(tmp, g, "--dsf", _file(
+            tmp, "s.trace", "1; 50; 8; functions; reached; triggered\n",
+        ), "0"),
+        "s.trace: trace field 'functions' has no '='\n",
     ),
     "dsf to a function with an underscore": (
         lambda tmp, g: _distance(tmp, g, "--dsf", _trace(tmp), "1_0"),

@@ -4,16 +4,17 @@ time while the target ranking moves underneath it.
 """
 
 from functools import partial
+from unittest.mock import patch
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fishsched import scheduler
 from fishsched.distance import build_distance_map, harmonic_distance
 from fishsched.execution import ExecutionTrace, Seed, dsf
 from fishsched.ranking import TargetRanking
 from fishsched.scheduler import (
     BestSeeds,
-    SchedulerConfig,
     exploitation_cull,
     harmonic_cull,
     intra_function_cull,
@@ -52,18 +53,13 @@ def traces(draw):
 steps = st.tuples(
     traces(), st.integers(1, 3), st.integers(1, 3), st.lists(traces(), max_size=2)
 )
-configs = st.builds(
-    SchedulerConfig,
-    exploit_fraction=st.sampled_from([0.2, 0.5, 1.0]),
-    exploit_include_triggered=st.booleans(),
-)
 
 
 def _favored(queue) -> list:
     return [s.id for s in queue if s.favor]
 
 
-def check_growth(steps, cfg) -> int:
+def check_growth(steps) -> int:
     """Grow a queue step by step, checking the three culls after every append.
 
     Returns how many exploitation culls had to fall back to the dsf scan.
@@ -106,11 +102,11 @@ def check_growth(steps, cfg) -> int:
             return dsf(seed, fid, DMAP)
 
         serviced = exploitation_cull(
-            queue, ranking, cfg, GRAPH, exploit_state, dsf_fn=counted
+            queue, ranking, GRAPH, exploit_state, dsf_fn=counted
         )
         carried = _favored(queue)
         fresh = exploitation_cull(
-            queue, ranking, cfg, GRAPH, BestSeeds(), partial(dsf, dmap=DMAP)
+            queue, ranking, GRAPH, BestSeeds(), partial(dsf, dmap=DMAP)
         )
         assert fresh == serviced
         assert carried == _favored(queue)
@@ -125,9 +121,10 @@ def check_growth(steps, cfg) -> int:
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.lists(steps, min_size=1, max_size=12), configs)
-def test_carried_state_favors_what_a_fresh_cull_favors(steps, cfg):
-    check_growth(steps, cfg)
+@given(st.lists(steps, min_size=1, max_size=12), st.sampled_from([0.2, 0.5, 1.0]))
+def test_carried_state_favors_what_a_fresh_cull_favors(steps, fraction):
+    with patch.object(scheduler, "EXPLOIT_FRACTION", fraction):
+        check_growth(steps)
 
 
 def test_serviced_target_without_a_reaching_seed_uses_the_dsf_scan():
@@ -138,4 +135,4 @@ def test_serviced_target_without_a_reaching_seed_uses_the_dsf_scan():
         functions=frozenset({OWNER[far]}), targets_reached=frozenset({far})
     )
     steps = [(entry_only, 2, 1, [reaches_far]), (entry_only, 1, 2, [])]
-    assert check_growth(steps, SchedulerConfig()) == 2
+    assert check_growth(steps) == 2

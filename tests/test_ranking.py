@@ -1,9 +1,11 @@
 import random
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fishsched import scheduler
 from fishsched.execution import ExecutionTrace
 from fishsched.graph import graph_from_dict
 from fishsched.ranking import (
@@ -12,7 +14,7 @@ from fishsched.ranking import (
     order_by_hits,
     reached_untriggered,
 )
-from fishsched.scheduler import SchedulerConfig, serviced_targets
+from fishsched.scheduler import serviced_targets
 from conftest import linear_block
 from oracles import oracle_ranking_replay, random_graph_dict
 
@@ -84,13 +86,12 @@ def test_unknown_target_in_trace_raises():
 
 def test_reached_untriggered_variants():
     r = TargetRanking(graph_with_targets(5))
-    assert reached_untriggered(r, exclude_triggered=False) == []
+    assert reached_untriggered(r) == []
     r.record_execution(trace(reached=[2]), now=1)
-    assert reached_untriggered(r, exclude_triggered=False) == [2]
+    assert reached_untriggered(r) == [2]
     r.record_execution(trace(reached=[0, 4], triggered=[4]), now=2)
     # 3 reached of which 1 triggered
-    assert reached_untriggered(r, exclude_triggered=False) == [0, 2, 4]
-    assert reached_untriggered(r, exclude_triggered=True) == [0, 2]
+    assert reached_untriggered(r) == [0, 2]
 
 
 def test_order_by_hits_examples():
@@ -201,14 +202,14 @@ def test_ranking_matches_the_replay_oracle_over_sparse_permuted_ids(case):
     graph, steps = case
     ids = [t.id for t in graph.targets()]
     ranking = TargetRanking(graph)
-    configs = {
-        (f, include): SchedulerConfig(exploit_fraction=f, exploit_include_triggered=include)
-        for f in FRACTIONS
-        for include in (True, False)
-    }
+
+    def serviced_at(fraction):
+        with patch.object(scheduler, "EXPLOIT_FRACTION", fraction):
+            return serviced_targets(ranking)
+
     # No target reached yet: no candidates, so nothing is serviced.
-    assert reached_untriggered(ranking, exclude_triggered=False) == []
-    assert all(serviced_targets(ranking, cfg) == [] for cfg in configs.values())
+    assert reached_untriggered(ranking) == []
+    assert all(serviced_at(f) == [] for f in FRACTIONS)
     for (reached, triggered, now), want in zip(
         steps, oracle_ranking_replay(ids, steps, FRACTIONS)
     ):
@@ -223,7 +224,6 @@ def test_ranking_matches_the_replay_oracle_over_sparse_permuted_ids(case):
         assert summary.new_functions == 0
         assert (summary.new_reached, summary.new_triggered) == want["summary"]
         assert facts(ranking, ids) == want["facts"]
-        assert reached_untriggered(ranking, exclude_triggered=False) == want["reached"]
-        assert reached_untriggered(ranking, exclude_triggered=True) == want["untriggered"]
-        for key, cfg in configs.items():
-            assert serviced_targets(ranking, cfg) == want["serviced"][key]
+        assert reached_untriggered(ranking) == want["untriggered"]
+        for f in FRACTIONS:
+            assert serviced_at(f) == want["serviced"][f]

@@ -204,8 +204,7 @@ def test_exploit_cull_no_reached_targets():
     r = TargetRanking(g)
     queue = [seed_with(1, {0})]
     queue[0].favor = True
-    exploitation_cull(queue, r, SchedulerConfig(), g, BestSeeds(),
-                      partial(dsf, dmap=dmap))
+    exploitation_cull(queue, r, g, BestSeeds(), partial(dsf, dmap=dmap))
     assert not queue[0].favor
 
 
@@ -221,8 +220,7 @@ def test_exploit_cull_services_twenty_percent_least_hit():
         seed_with(sid=tid + 1, funcs={0, tid + 1}, reached={tid})
         for tid in range(10)
     ]
-    exploitation_cull(queue, r, SchedulerConfig(), g, BestSeeds(),
-                      partial(dsf, dmap=dmap))
+    exploitation_cull(queue, r, g, BestSeeds(), partial(dsf, dmap=dmap))
     favored = sorted(s.id for s in queue if s.favor)
     assert favored == [4, 8]  # seeds reaching the two least-hit targets 7 and 3
 
@@ -233,8 +231,7 @@ def test_exploit_cull_prefers_fastest_reaching_seed():
     r = ranking_with_hits(g, {0: 1})
     slow = seed_with(1, {0, 1}, exec_time=900, reached={0})
     fast = seed_with(2, {0, 1}, exec_time=400, reached={0})
-    exploitation_cull([slow, fast], r, SchedulerConfig(), g, BestSeeds(),
-                      partial(dsf, dmap=dmap))
+    exploitation_cull([slow, fast], r, g, BestSeeds(), partial(dsf, dmap=dmap))
     assert fast.favor and not slow.favor
 
 
@@ -244,27 +241,19 @@ def test_exploit_cull_falls_back_to_closest_seed():
     r = ranking_with_hits(g, {0: 1})
     # no queue seed traverses the target function but one is statically closer
     near = seed_with(1, {0})
-    exploitation_cull([near], r, SchedulerConfig(), g, BestSeeds(),
-                      partial(dsf, dmap=dmap))
+    exploitation_cull([near], r, g, BestSeeds(), partial(dsf, dmap=dmap))
     assert near.favor
 
 
-def test_exploit_cull_triggered_excluded_by_default_included_by_config():
+def test_exploit_cull_drops_triggered_targets():
     g = star_graph(2, targets_in=(1, 2))
     dmap = build_distance_map(g)
     # target 0 triggered and least-hit (2 hits incl. the triggering one) vs 5
     r = ranking_with_hits(g, {0: 1, 1: 5}, triggered=(0,))
     s1 = seed_with(1, {0, 1}, reached={0})
     s2 = seed_with(2, {0, 2}, reached={1})
-    exploitation_cull([s1, s2], r, SchedulerConfig(), g, BestSeeds(),
-                      partial(dsf, dmap=dmap))
+    exploitation_cull([s1, s2], r, g, BestSeeds(), partial(dsf, dmap=dmap))
     assert not s1.favor and s2.favor
-
-    # literal mode keeps the triggered target in the candidate list, and the
-    # single serviced slot goes to it because it is least-hit
-    cfg = SchedulerConfig(exploit_include_triggered=True)
-    exploitation_cull([s1, s2], r, cfg, g, BestSeeds(), partial(dsf, dmap=dmap))
-    assert s1.favor and not s2.favor
 
 
 def test_exploit_cull_ceiling_never_starves_single_candidate():
@@ -272,8 +261,7 @@ def test_exploit_cull_ceiling_never_starves_single_candidate():
     dmap = build_distance_map(g)
     r = ranking_with_hits(g, {0: 3})
     s = seed_with(1, {0, 1}, reached={0})
-    exploitation_cull([s], r, SchedulerConfig(), g, BestSeeds(),
-                      partial(dsf, dmap=dmap))
+    exploitation_cull([s], r, g, BestSeeds(), partial(dsf, dmap=dmap))
     assert s.favor
 
 
@@ -284,11 +272,10 @@ def test_exploit_cull_liveness_rotates_service():
     s2 = seed_with(2, {0, 2}, reached={1})
     queue = [s1, s2]
     r = ranking_with_hits(g, {0: 1, 1: 1})
-    cfg = SchedulerConfig()
 
     favored_history = []
     for round_ in range(6):
-        exploitation_cull(queue, r, cfg, g, BestSeeds(), partial(dsf, dmap=dmap))
+        exploitation_cull(queue, r, g, BestSeeds(), partial(dsf, dmap=dmap))
         favored = next(s for s in queue if s.favor)
         favored_history.append(favored.id)
         # hammer the serviced target so the other becomes least-hit
@@ -453,16 +440,12 @@ def test_phase_step_is_pure_replay():
 
 
 @pytest.mark.parametrize("name, value, kind", [
-    # These ran: a string or an int as the flag, a bool as a number.
-    ("exploit_include_triggered", "no", "bool"),
-    ("exploit_include_triggered", 0, "bool"),
-    ("exploit_fraction", True, "number"),
+    # This ran: a bool as a number.
     ("w_function", True, "number"),
     # These raised a bare TypeError from the range check.
     ("w_function", "30", "number"),
     ("w_reach", None, "number"),
     ("w_trigger", [60], "number"),
-    ("exploit_fraction", "0.2", "number"),
 ])
 def test_scheduler_config_checks_each_type_before_its_range(name, value, kind):
     with pytest.raises(ValueError, match=f"^{name} must be a {kind}$"):
@@ -470,7 +453,7 @@ def test_scheduler_config_checks_each_type_before_its_range(name, value, kind):
 
 
 @pytest.mark.parametrize("name, value", [
-    ("exploit_fraction", 7.5),
+    ("w_function", 7.5),
     ("w_reach", float("nan")),
 ])
 def test_scheduler_config_fields_cannot_be_set_after_the_checks(name, value):

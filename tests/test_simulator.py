@@ -1,10 +1,11 @@
 import random
+from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fishsched import simulator
+from fishsched import scheduler, simulator
 from fishsched.distance import build_distance_map
 from fishsched.execution import ExecutionTrace, Seed, dsf
 from fishsched.graph import ENTRY_FUNCTION, graph_from_dict, graph_hash
@@ -21,7 +22,9 @@ from fishsched.simulator import (
     run_campaign_with_queue,
     sample_exec_time,
     standard_graph,
+    target_hardness,
 )
+from conftest import linear_block
 from oracles import oracle_campaign, random_graph_dict
 
 
@@ -187,6 +190,23 @@ def test_chain_advance_frequency_matches_geometric_model(monkeypatch):
         for _ in range(10_000)
     )
     assert abs(hits / 10_000 - 0.5) < 0.02
+
+
+def test_trigger_frequency_matches_the_per_target_hardness(monkeypatch):
+    # Both targets sit on the entry block of the entry function, so every
+    # execution reaches them and each triggers with its own probability.
+    g = graph_from_dict({"functions": [
+        {"id": 0, "name": "main", "entry": 0, "blocks": [linear_block(0)],
+         "targets": [{"id": 0, "block": 0}, {"id": 1, "block": 0}]},
+    ]})
+    monkeypatch.setattr(simulator, "TRIGGER_PROBABILITY", 0.8)
+    rng = random.Random(13)
+    triggered = {0: 0, 1: 0}
+    for _ in range(10_000):
+        for tid in execute_mutation(None, g, rng).targets_triggered:
+            triggered[tid] += 1
+    for tid, n in triggered.items():
+        assert abs(n / 10_000 - 0.8 * target_hardness(tid)) < 0.02
 
 
 def test_mutation_deterministic_given_rng_state():
@@ -439,34 +459,29 @@ def test_every_simulated_result_reloads_to_the_same_bytes(
 @settings(max_examples=200, deadline=None)
 @given(
     graph_seed=st.integers(0, 2**32),
-    scheduler=st.sampled_from(SCHEDULERS),
+    policy=st.sampled_from(SCHEDULERS),
     duration=st.integers(0, 150),
     executions_per_tick=st.integers(1, 3),
     rng_seed=st.integers(0, 2**16),
     windows=st.tuples(*[st.integers(0, 25)] * 3),
-    exploit_fraction=st.sampled_from([0.2, 0.5, 1.0]),
-    include_triggered=st.booleans(),
+    fraction=st.sampled_from([0.2, 0.5, 1.0]),
 )
 def test_campaign_matches_the_reference_campaign(
-    graph_seed, scheduler, duration, executions_per_tick, rng_seed, windows,
-    exploit_fraction, include_triggered,
+    graph_seed, policy, duration, executions_per_tick, rng_seed, windows,
+    fraction,
 ):
     # Short windows walk the fishfuzz phases, and their carried cull state,
     # several times within the duration.
     g = graph_from_dict(random_graph_dict(random.Random(graph_seed), max_functions=20))
-    assume(scheduler != "harmonic_directed" or g.targets())
-    w_function, w_reach, w_trigger = windows
+    assume(policy != "harmonic_directed" or g.targets())
     config = CampaignConfig(
-        scheduler=scheduler, duration=duration, executions_per_tick=executions_per_tick,
-        rng_seed=rng_seed,
-        scheduler_config=SchedulerConfig(
-            w_function=w_function, w_reach=w_reach, w_trigger=w_trigger,
-            exploit_fraction=exploit_fraction,
-            exploit_include_triggered=include_triggered,
-        ),
+        scheduler=policy, duration=duration, executions_per_tick=executions_per_tick,
+        rng_seed=rng_seed, scheduler_config=SchedulerConfig(*windows),
     )
-    result, queue = run_campaign_with_queue(g, config)
-    fields, rows = oracle_campaign(g, config)
+    # The oracle reads the fraction at each cull, so one patch serves both.
+    with patch.object(scheduler, "EXPLOIT_FRACTION", fraction):
+        result, queue = run_campaign_with_queue(g, config)
+        fields, rows = oracle_campaign(g, config)
     expected = CampaignResult(graph_hash=graph_hash(g), **fields)
     assert result.to_json_bytes() == expected.to_json_bytes()
     assert [(s.id, s.parent, s.created_at, s.exec_time, s.size, s.favor)
