@@ -274,12 +274,12 @@ def _phase_bands(result: CampaignResult) -> list[list]:
 
 
 class _Parser(argparse.ArgumentParser):
-    """A flag argparse rejects is one fishsched: line and exit 2, like any
-    other bad input. Subparsers are made of the same class."""
+    """A flag argparse rejects is an InputError, so main() makes it one
+    fishsched: line and exit 2, like any other bad input. Subparsers are made
+    of the same class."""
 
     def error(self, message):
-        _err(message)
-        sys.exit(EXIT_INPUT)
+        raise InputError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -347,8 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         args.func(args)
     except InputError as exc:
         _err(str(exc))

@@ -11,6 +11,7 @@ unreachable value raises instead of silently propagating.
 from __future__ import annotations
 
 import gc
+import json
 import math
 from collections import defaultdict
 from collections.abc import Mapping
@@ -25,11 +26,12 @@ from .graph import (
     ProgramGraph,
     Target,
     bfs_hops,
-    canonical_json,
     check_fields,
+    decode_text,
     graph_hash,
+    parse_json,
     postorder,
-    read_json,
+    read_bytes,
     shortest_paths,
 )
 from .execution import traversed_functions
@@ -101,8 +103,8 @@ def weight(graph: ProgramGraph, caller: int, callee: int) -> Optional[int]:
 
 @contextmanager
 def _collector_paused():
-    """Build, save and load allocate about a million containers that all live
-    until the call ends; pausing the cyclic collector spares rescanning them."""
+    """Build and parse allocate about a million containers that all live until
+    the call ends; pausing the cyclic collector spares rescanning them."""
     was_enabled = gc.isenabled()
     gc.disable()
     try:
@@ -163,36 +165,62 @@ def harmonic_distance(trace, targets: list[Target], graph: ProgramGraph) -> floa
 MAP_FIELDS = ("built_from", "weights", "dff")
 
 
-@_collector_paused()
+def _map_chunks(dmap: StaticDistanceMap):
+    """The bytes of a saved map: a header, one chunk per dff source row and a
+    trailer with the weights. Joined, they are the compact, key-sorted JSON of
+    {"built_from", "dff", "weights"} and a newline, each list holding [a, b, d]
+    rows in ascending (a, b)."""
+    yield f'{{"built_from":{json.dumps(dmap.built_from)},"dff":['.encode()
+    for a, row in enumerate(dmap.rows):
+        head = f"[{a},"
+        pairs = ",".join([f"{head}{b},{row[b]}]" for b in sorted(row)])
+        yield (f",{pairs}" if a else pairs).encode()
+    weights = ",".join(
+        f"[{a},{b},{w}]" for (a, b), w in sorted(dmap.weights.items()) if w is not None
+    )
+    yield f'],"weights":[{weights}]}}\n'.encode()
+
+
 def save_distance_map(dmap: StaticDistanceMap, path: str) -> None:
-    data = {
-        "built_from": dmap.built_from,
-        "weights": [
-            [a, b, w] for (a, b), w in sorted(dmap.weights.items()) if w is not None
-        ],
-        "dff": [[a, b, row[b]] for a, row in enumerate(dmap.rows) for b in sorted(row)],
-    }
     with open(path, "wb") as fh:
-        fh.write(canonical_json(data))
+        fh.writelines(_map_chunks(dmap))
 
 
 @_collector_paused()
 def load_distance_map(path: str, graph: ProgramGraph) -> StaticDistanceMap:
     """Load a saved map, rejecting anything save_distance_map cannot write.
 
-    Raises DistanceMapError on an unreadable file, corrupt JSON, a missing
-    or unknown field, a map built from another graph, a row that is not three
+    A file byte-equal to what save_distance_map writes for the graph's own
+    map is that map, so it is compared chunk by chunk against the built map
+    instead of parsed. Any other file is parsed and checked: that raises
+    DistanceMapError on an unreadable file, corrupt JSON, a missing or
+    unknown field, a map built from another graph, a row that is not three
     integers, a negative distance, an unknown function id, two rows for one
     pair, a weight for a non-call edge, or weights that are not the graph's.
     """
+    raw = read_bytes(path, DistanceMapError)
+    built = build_distance_map(graph)
+    pos = 0
+    for chunk in _map_chunks(built):
+        if not raw.startswith(chunk, pos):
+            break
+        pos += len(chunk)
+    else:
+        if pos == len(raw):
+            return built
+    del built
 
-    def not_an_integer(text):
-        raise DistanceMapError(f"{path}: number {text} is not an integer")
+    def not_an_integer(number):
+        raise DistanceMapError(f"{path}: number {number} is not an integer")
 
-    data = read_json(
-        path, DistanceMapError, f"{path}: corrupt file",
+    where = f"{path}: corrupt file"
+    text = decode_text(raw, DistanceMapError, where)
+    del raw  # so the file is not held twice while it is parsed
+    data = parse_json(
+        text, DistanceMapError, where,
         parse_float=not_an_integer, parse_constant=not_an_integer,
     )
+    del text
     check_fields(data, path, MAP_FIELDS, error=DistanceMapError)
     expected = graph_hash(graph)
     if data["built_from"] != expected:

@@ -434,8 +434,8 @@ def parse_json(text: str, error, where: str, **hooks):
 def read_json(path: str, error, where=None, **hooks):
     """The UTF-8 JSON file at path; where defaults to the path.
 
-    The bytes are dropped once decoded, so a large distance map is never
-    held twice while it is parsed.
+    The bytes are dropped once decoded, so a large file is never held twice
+    while it is parsed.
     """
     where = where or path
     text = decode_text(read_bytes(path, error), error, where)
@@ -443,7 +443,9 @@ def read_json(path: str, error, where=None, **hooks):
 
 
 def canonical_json(data) -> bytes:
-    """Compact, key-sorted JSON plus a newline: every JSON file fishsched writes.
+    """Compact, key-sorted JSON plus a newline: the graph and result files.
+
+    A distance map is the same JSON, written one row at a time by distance.py.
 
     One-shot json.dumps runs CPython's C encoder; streaming json.dump to a
     file does not.

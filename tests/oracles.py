@@ -14,6 +14,7 @@ from types import SimpleNamespace
 
 from fishsched import scheduler
 from fishsched.distance import HARMONIC_ZERO_EPSILON
+from fishsched.graph import canonical_json
 from fishsched.simulator import (
     INITIAL_SEED_SIZE,
     execute_mutation,
@@ -93,6 +94,18 @@ def _floyd_warshall(n, weights):
         for j in range(n)
         if dist[i][j] != INF
     }
+
+
+def oracle_map_bytes(dmap) -> bytes:
+    """A saved distance map as one JSON document: canonical_json of its
+    built_from, its finite weights and its dff, rows in ascending pair order."""
+    return canonical_json({
+        "built_from": dmap.built_from,
+        "weights": [
+            [a, b, w] for (a, b), w in sorted(dmap.weights.items()) if w is not None
+        ],
+        "dff": [[a, b, row[b]] for a, row in enumerate(dmap.rows) for b in sorted(row)],
+    })
 
 
 def oracle_reachable_pairs(graph):

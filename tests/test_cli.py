@@ -21,10 +21,7 @@ from conftest import FIXTURES
 
 
 def run_cli(capsys, *argv):
-    try:
-        code = main(list(argv))
-    except SystemExit as exc:  # argparse rejects a flag by exiting
-        code = exc.code
+    code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -253,10 +250,10 @@ def test_result_of_a_negative_seed_loads(tmp_path, capsys, small_graph_file):
 
 
 def test_simulate_requires_spec_or_graph(tmp_path, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["simulate", "--scheduler", "fishfuzz", "--out", str(tmp_path / "x")])
-    stderr = capsys.readouterr().err
-    assert exc.value.code == 2
+    code, _stdout, stderr = run_cli(
+        capsys, "simulate", "--scheduler", "fishfuzz", "--out", str(tmp_path / "x")
+    )
+    assert code == 2
     assert stderr.count("\n") == 1
     assert "one of the arguments --spec --graph is required" in stderr
 
@@ -341,9 +338,11 @@ def test_report_growth_merges_results(tmp_path, capsys, small_graph_file):
 
 def test_report_unknown_kind_rejected(tmp_path, capsys, result_file):
     path, _ = result_file
-    with pytest.raises(SystemExit) as exc:
-        main(["report", "--kind", "pie", "--out", str(tmp_path / "x.csv"), path])
-    assert exc.value.code == 2
+    code, _stdout, stderr = run_cli(
+        capsys, "report", "--kind", "pie", "--out", str(tmp_path / "x.csv"), path
+    )
+    assert code == 2
+    assert stderr.startswith("fishsched: argument --kind: invalid choice: 'pie'")
 
 
 def test_report_missing_result(tmp_path, capsys):
@@ -841,6 +840,15 @@ BAD_INPUTS = {
 }
 
 
+def _assert_one_diagnostic_line(capsys, argv, expected):
+    capsys.readouterr()
+    code, stdout, stderr = run_cli(capsys, *argv)
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith("fishsched: ") and stderr.count("\n") == 1
+    assert expected in stderr
+
+
 @pytest.mark.parametrize("case", list(BAD_INPUTS))
 def test_malformed_input_is_one_diagnostic_line(tmp_path, capsys, small_graph_file, case):
     build, expected = BAD_INPUTS[case]
@@ -848,52 +856,76 @@ def test_malformed_input_is_one_diagnostic_line(tmp_path, capsys, small_graph_fi
     out_dir = tmp_path / "out"
     if argv[0] == "simulate":
         argv += ["--out", str(out_dir)]
-    capsys.readouterr()
-    code, stdout, stderr = run_cli(capsys, *argv)
-    assert code == 2
-    assert stdout == ""
-    assert stderr.startswith("fishsched: ") and stderr.count("\n") == 1
-    assert expected in stderr
+    _assert_one_diagnostic_line(capsys, argv, expected)
     assert not out_dir.exists()  # rejected before any output is made
 
 
+# Command lines argparse rejects: main returns 2 for them like for BAD_INPUTS.
 USAGE_ERRORS = {
-    "non-integer --dff": lambda tmp, g: _distance(tmp, g, "--dff", "a", "1"),
-    "non-integer --duration": lambda tmp, g: ["simulate", "--graph", g,
-                                              "--duration", "x", "--out", str(tmp)],
-    "non-integer --seeds": lambda tmp, g: ["simulate", "--graph", g,
-                                           "--seeds", "z", "--out", str(tmp)],
-    "unknown flag": lambda tmp, g: ["analyze", "--graph", g, "--out", str(tmp / "x"),
-                                    "--colour"],
-    "missing --out": lambda tmp, g: ["analyze", "--graph", g],
-    "no subcommand": lambda tmp, g: [],
+    "non-integer --dff": (
+        lambda tmp, g: _distance(tmp, g, "--dff", "a", "1"),
+        "argument --dff: invalid parse_decimal value: 'a'",
+    ),
+    "non-integer --duration": (
+        lambda tmp, g: ["simulate", "--graph", g, "--duration", "x", "--out", str(tmp)],
+        "argument --duration: invalid int value: 'x'",
+    ),
+    "non-integer --seeds": (
+        lambda tmp, g: ["simulate", "--graph", g, "--seeds", "z", "--out", str(tmp)],
+        "argument --seeds: invalid int value: 'z'",
+    ),
+    "unknown flag": (
+        lambda tmp, g: ["analyze", "--graph", g, "--out", str(tmp / "x"), "--colour"],
+        "unrecognized arguments: --colour",
+    ),
+    "missing --out": (
+        lambda tmp, g: ["analyze", "--graph", g],
+        "the following arguments are required: --out",
+    ),
+    "no subcommand": (
+        lambda tmp, g: [],
+        "the following arguments are required: command",
+    ),
     # Exactly one distance query, one program and one way to pick schedulers.
-    "--dff with --dsf": lambda tmp, g: _distance(tmp, g, "--dff", "0", "1",
-                                                 "--dsf", _trace(tmp), "1"),
-    "distance with no query": lambda tmp, g: _distance(tmp, g),
-    "--spec with --graph": lambda tmp, g: ["simulate", "--spec", "standard", "--graph", g,
-                                           "--out", str(tmp / "x")],
-    "--scheduler with --compare": lambda tmp, g: [
-        "simulate", "--graph", g, "--scheduler", "afl_favor",
-        "--compare", "fishfuzz,round_robin", "--out", str(tmp / "x"),
-    ],
-    "--scheduler fishfuzz with --compare": lambda tmp, g: [
-        "simulate", "--graph", g, "--scheduler", "fishfuzz",
-        "--compare", "afl_favor,round_robin", "--out", str(tmp / "x"),
-    ],
+    "--dff with --dsf": (
+        lambda tmp, g: _distance(tmp, g, "--dff", "0", "1", "--dsf", _trace(tmp), "1"),
+        "argument --dsf: not allowed with argument --dff",
+    ),
+    "distance with no query": (
+        lambda tmp, g: _distance(tmp, g),
+        "one of the arguments --dff --dsf --multi --harmonic is required",
+    ),
+    "--spec with --graph": (
+        lambda tmp, g: ["simulate", "--spec", "standard", "--graph", g,
+                        "--out", str(tmp / "x")],
+        "argument --graph: not allowed with argument --spec",
+    ),
+    "--scheduler with --compare": (
+        lambda tmp, g: ["simulate", "--graph", g, "--scheduler", "afl_favor",
+                        "--compare", "fishfuzz,round_robin", "--out", str(tmp / "x")],
+        "argument --compare: not allowed with argument --scheduler",
+    ),
+    "--scheduler fishfuzz with --compare": (
+        lambda tmp, g: ["simulate", "--graph", g, "--scheduler", "fishfuzz",
+                        "--compare", "afl_favor,round_robin", "--out", str(tmp / "x")],
+        "argument --compare: not allowed with argument --scheduler",
+    ),
 }
 
 
 @pytest.mark.parametrize("case", list(USAGE_ERRORS))
 def test_usage_error_is_one_diagnostic_line(tmp_path, capsys, small_graph_file, case):
-    argv = USAGE_ERRORS[case](tmp_path, small_graph_file)
-    capsys.readouterr()
+    build, expected = USAGE_ERRORS[case]
+    _assert_one_diagnostic_line(capsys, build(tmp_path, small_graph_file), expected)
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["distance", "--help"]])
+def test_help_exits_zero(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     captured = capsys.readouterr()
-    assert exc.value.code == 2
-    assert captured.out == ""
-    assert captured.err.startswith("fishsched: ") and captured.err.count("\n") == 1
+    assert exc.value.code == 0
+    assert captured.out.startswith("usage: fishsched") and captured.err == ""
 
 
 def _graph_with(tmp, field, value):

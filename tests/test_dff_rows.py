@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from fishsched.distance import build_distance_map, load_distance_map, save_distance_map
 from fishsched.graph import graph_from_dict, shortest_paths
 from fishsched.simulator import STANDARD_SPEC, generate_program, standard_graph
-from oracles import oracle_weights, random_graph_dict
+from oracles import oracle_map_bytes, oracle_weights, random_graph_dict
 
 nx = pytest.importorskip("networkx")
 
@@ -63,6 +63,29 @@ def test_standard_map_bytes_are_pinned(tmp_path):
     path = tmp_path / "standard.map"
     save_distance_map(build_distance_map(standard_graph()), str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == STANDARD_MAP_SHA256
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rng=st.randoms(use_true_random=False),
+    edge_rate=st.sampled_from([0.0, 0.5, 1.6, 4.0]),
+    max_blocks=st.sampled_from([1, 8]),
+    dead_call=st.booleans(),
+)
+def test_saved_map_is_one_canonical_json_document(rng, edge_rate, max_blocks, dead_call):
+    # No calls at edge rate 0, and only zero-weight calls with one block each.
+    data = random_graph_dict(rng, max_functions=30, max_blocks=max_blocks,
+                             edge_rate=edge_rate)
+    if dead_call:  # a call from a block the entry cannot reach has no weight
+        blocks = data["functions"][0]["blocks"]
+        blocks.append({"id": len(blocks), "succ": [], "calls": [0]})
+    graph = graph_from_dict(data)
+    dmap = build_distance_map(graph)
+    assert (None in dmap.weights.values()) is dead_call
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.map"
+        save_distance_map(dmap, str(path))
+        assert path.read_bytes() == oracle_map_bytes(dmap)
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,16 +1,22 @@
 """The distance-map loader accepts only what save_distance_map can write."""
 
+import dataclasses
 import gc
 import json
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
+from fishsched import distance
 from fishsched.distance import (
     DistanceMapError,
     build_distance_map,
     load_distance_map,
     save_distance_map,
 )
+from fishsched.graph import canonical_json, graph_hash
+from fishsched.simulator import STANDARD_SPEC, generate_program
 
 
 @pytest.fixture
@@ -130,3 +136,103 @@ def test_load_leaves_the_collector_as_it_found_it(saved_map, chain_graph, enable
         assert gc.isenabled() is enabled
     finally:
         (gc.enable if was else gc.disable)()
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """The number of map files load_distance_map has parsed as JSON."""
+    calls = []
+    real = distance.parse_json
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(distance, "parse_json", counted)
+    return calls
+
+
+def test_canonical_map_loads_by_comparison(tmp_path, parses):
+    graph = generate_program(dataclasses.replace(STANDARD_SPEC, n_functions=200))
+    path = tmp_path / "standard.map"
+    save_distance_map(build_distance_map(graph), str(path))
+    loaded = load_distance_map(str(path), graph)
+    assert loaded.rows == build_distance_map(graph).rows
+    assert loaded.built_from == graph_hash(graph)
+    assert parses == []
+
+
+def test_map_with_spaces_is_parsed_to_equal_rows(saved_map, chain_graph, parses):
+    data, write = saved_map
+    path = write(data)
+    assert b", " in Path(path).read_bytes()
+    loaded = load_distance_map(path, chain_graph)
+    assert loaded.rows == build_distance_map(chain_graph).rows
+    assert parses == [1]
+
+
+@pytest.mark.parametrize("dump", [canonical_json, lambda d: json.dumps(d).encode()])
+def test_tampered_well_formed_row_loads_with_its_value(tmp_path, chain_graph, dump):
+    # dff(0, 2) is 3; a well-formed row the graph cannot have is not the
+    # loader's to reject: the distance query checks each answer it prints.
+    path = tmp_path / "chain.map"
+    save_distance_map(build_distance_map(chain_graph), str(path))
+    data = json.loads(path.read_bytes())
+    index = data["dff"].index([0, 2, 3])
+    data["dff"][index] = [0, 2, 7]
+    path.write_bytes(dump(data))
+    assert load_distance_map(str(path), chain_graph).dff_value(0, 2) == 7
+
+
+# ---------------------------------------------------------------------------
+# Memory: a map is written and checked one source row at a time
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def map_1000(tmp_path_factory):
+    """A generated 1000-function graph, its cached derived data built, and
+    its saved map."""
+    graph = generate_program(dataclasses.replace(STANDARD_SPEC, n_functions=1000))
+    dmap = build_distance_map(graph)
+    path = tmp_path_factory.mktemp("map") / "g1000.map"
+    save_distance_map(dmap, str(path))
+    return graph, dmap, path
+
+
+def traced_peak(fn, *args) -> int:
+    """Peak bytes that fn(*args) allocates beyond what is live already."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_load_peaks_below_a_bare_parse_of_the_file(map_1000):
+    graph, _dmap, path = map_1000
+    text = path.read_text()
+    assert traced_peak(load_distance_map, str(path), graph) < traced_peak(
+        json.loads, text
+    )
+
+
+def test_save_peaks_below_the_file_size(map_1000, tmp_path):
+    _graph, dmap, path = map_1000
+    out = tmp_path / "again.map"
+    peak = traced_peak(save_distance_map, dmap, str(out))
+    assert out.read_bytes() == path.read_bytes()
+    assert peak < path.stat().st_size
+
+
+def test_canonical_map_with_trailing_bytes_is_parsed(tmp_path, chain_graph, parses):
+    path = tmp_path / "chain.map"
+    save_distance_map(build_distance_map(chain_graph), str(path))
+    canonical = path.read_bytes()
+    path.write_bytes(canonical + b"\n")
+    assert load_distance_map(str(path), chain_graph) == build_distance_map(chain_graph)
+    path.write_bytes(canonical + b"x")
+    with pytest.raises(DistanceMapError, match="corrupt file: line 2: Extra data"):
+        load_distance_map(str(path), chain_graph)
+    assert parses == [1, 1]

@@ -439,13 +439,15 @@ def test_phase_step_is_pure_replay():
     assert replay() == replay()
 
 
+# Each id is the name pytest gave the row before ids were set; the
+# list row's was its position in this table.
 @pytest.mark.parametrize("name, value, kind", [
     # This ran: a bool as a number.
-    ("w_function", True, "number"),
+    pytest.param("w_function", True, "number", id="w_function-True-number"),
     # These raised a bare TypeError from the range check.
-    ("w_function", "30", "number"),
-    ("w_reach", None, "number"),
-    ("w_trigger", [60], "number"),
+    pytest.param("w_function", "30", "number", id="w_function-30-number"),
+    pytest.param("w_reach", None, "number", id="w_reach-None-number"),
+    pytest.param("w_trigger", [60], "number", id="w_trigger-value3-number"),
 ])
 def test_scheduler_config_checks_each_type_before_its_range(name, value, kind):
     with pytest.raises(ValueError, match=f"^{name} must be a {kind}$"):
