@@ -11,14 +11,12 @@ unreachable value raises instead of silently propagating.
 from __future__ import annotations
 
 import gc
-import json
 import math
-from collections import defaultdict
+import re
 from collections.abc import Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from typing import Optional
 
 from .graph import (
@@ -26,10 +24,7 @@ from .graph import (
     ProgramGraph,
     Target,
     bfs_hops,
-    check_fields,
-    decode_text,
     graph_hash,
-    parse_json,
     postorder,
     read_bytes,
     shortest_paths,
@@ -42,7 +37,7 @@ HARMONIC_ZERO_EPSILON = 0.5
 
 
 class DistanceMapError(InputError):
-    """Corrupt distance-map file or graph/map mismatch."""
+    """A distance-map file that is not the bytes analyze writes for the graph."""
 
 
 @dataclass(frozen=True)
@@ -103,8 +98,8 @@ def weight(graph: ProgramGraph, caller: int, callee: int) -> Optional[int]:
 
 @contextmanager
 def _collector_paused():
-    """Build and parse allocate about a million containers that all live until
-    the call ends; pausing the cyclic collector spares rescanning them."""
+    """A build allocates about a million containers that all live until the
+    call ends; pausing the cyclic collector spares rescanning them."""
     was_enabled = gc.isenabled()
     gc.disable()
     try:
@@ -157,123 +152,72 @@ def harmonic_distance(trace, targets: list[Target], graph: ProgramGraph) -> floa
 
 
 # ---------------------------------------------------------------------------
-# Persistence: infinite entries are omitted on disk and reconstructed on load
+# Persistence: a map is loaded only as the bytes analyze writes for its graph
 # ---------------------------------------------------------------------------
 
 
-# The top-level fields of a saved map, all required.
-MAP_FIELDS = ("built_from", "weights", "dff")
+# What a loaded map must be, byte for byte.
+_ANALYZED = "the map analyze writes for this graph"
 
 
-def _map_chunks(dmap: StaticDistanceMap):
-    """The bytes of a saved map: a header, one chunk per dff source row and a
-    trailer with the weights. Joined, they are the compact, key-sorted JSON of
-    {"built_from", "dff", "weights"} and a newline, each list holding [a, b, d]
-    rows in ascending (a, b)."""
-    yield f'{{"built_from":{json.dumps(dmap.built_from)},"dff":['.encode()
+def _header(built_from: str) -> bytes:
+    return f'{{"built_from":"{built_from}","dff":['.encode()
+
+
+def _map_parts(dmap: StaticDistanceMap):
+    """The saved map, part by part: (name, bytes) for the built_from header,
+    each dff source row, the end of the dff list and the weight list. Joined,
+    the bytes are the compact, key-sorted JSON of {"built_from", "dff",
+    "weights"} and a newline, each list holding [a, b, d] rows in ascending
+    (a, b); unreachable pairs and uncallable edges have no row."""
+    yield "the built_from header", _header(dmap.built_from)
     for a, row in enumerate(dmap.rows):
         head = f"[{a},"
         pairs = ",".join([f"{head}{b},{row[b]}]" for b in sorted(row)])
-        yield (f",{pairs}" if a else pairs).encode()
+        yield f"the dff row of function {a}", (f",{pairs}" if a else pairs).encode()
+    yield "the end of the dff list", b"]"
     weights = ",".join(
         f"[{a},{b},{w}]" for (a, b), w in sorted(dmap.weights.items()) if w is not None
     )
-    yield f'],"weights":[{weights}]}}\n'.encode()
+    yield "the weight list", f',"weights":[{weights}]}}\n'.encode()
 
 
 def save_distance_map(dmap: StaticDistanceMap, path: str) -> None:
     with open(path, "wb") as fh:
-        fh.writelines(_map_chunks(dmap))
+        fh.writelines(chunk for _part, chunk in _map_parts(dmap))
 
 
-@_collector_paused()
 def load_distance_map(path: str, graph: ProgramGraph) -> StaticDistanceMap:
-    """Load a saved map, rejecting anything save_distance_map cannot write.
+    """The graph's map, if path holds exactly the bytes analyze writes for it.
 
-    A file byte-equal to what save_distance_map writes for the graph's own
-    map is that map, so it is compared chunk by chunk against the built map
-    instead of parsed. Any other file is parsed and checked: that raises
-    DistanceMapError on an unreadable file, corrupt JSON, a missing or
-    unknown field, a map built from another graph, a row that is not three
-    integers, a negative distance, an unknown function id, two rows for one
-    pair, a weight for a non-call edge, or weights that are not the graph's.
+    A map is a pure function of its graph, so it is never parsed: the file is
+    compared part by part against the graph's own map, which is returned.
+    Anything else raises DistanceMapError naming the first part that differs,
+    or where the map and the file end when the file goes on. A map of another
+    graph is rejected by its header, before the graph's map is built.
     """
     raw = read_bytes(path, DistanceMapError)
+
+    def differs(part: str) -> DistanceMapError:
+        return DistanceMapError(f"{path}: {part} differs from {_ANALYZED}")
+
+    expected = graph_hash(graph)
+    if not raw.startswith(_header(expected)):
+        other = re.match(rb'\{"built_from":"([0-9a-f]{64})"', raw)
+        if other and other[1].decode() != expected:
+            raise DistanceMapError(
+                f"{path}: built_from hash {other[1][:12].decode()}... does not "
+                f"match the supplied graph ({expected[:12]}...)"
+            )
+        raise differs("the built_from header")
     built = build_distance_map(graph)
     pos = 0
-    for chunk in _map_chunks(built):
+    for part, chunk in _map_parts(built):
         if not raw.startswith(chunk, pos):
-            break
+            raise differs(part)
         pos += len(chunk)
-    else:
-        if pos == len(raw):
-            return built
-    del built
-
-    def not_an_integer(number):
-        raise DistanceMapError(f"{path}: number {number} is not an integer")
-
-    where = f"{path}: corrupt file"
-    text = decode_text(raw, DistanceMapError, where)
-    del raw  # so the file is not held twice while it is parsed
-    data = parse_json(
-        text, DistanceMapError, where,
-        parse_float=not_an_integer, parse_constant=not_an_integer,
-    )
-    del text
-    check_fields(data, path, MAP_FIELDS, error=DistanceMapError)
-    expected = graph_hash(graph)
-    if data["built_from"] != expected:
+    if pos != len(raw):
         raise DistanceMapError(
-            f"{path}: built_from hash {str(data['built_from'])[:12]}... does not "
-            f"match the supplied graph ({expected[:12]}...)"
+            f"{path}: {_ANALYZED} ends at byte {pos}, the file at byte {len(raw)}"
         )
-    weights = graph.call_weights
-    for a, row in enumerate(_rows(path, "weights", data["weights"], graph)):
-        for b, w in row.items():
-            if (a, b) not in weights:
-                raise DistanceMapError(f"{path}: weight for non-call-edge ({a},{b})")
-            if w != weights[(a, b)]:
-                raise DistanceMapError(
-                    f"{path}: weight ({a},{b}) is {w}, the graph's is {weights[(a, b)]}"
-                )
-    missing = sum(w is not None for w in weights.values()) - len(data["weights"])
-    if missing:
-        raise DistanceMapError(f"{path}: {missing} of the graph's weights are missing")
-    rows = _rows(path, "dff", data["dff"], graph)
-    return StaticDistanceMap(built_from=data["built_from"], weights=weights, rows=rows)
-
-
-def _rows(path: str, name: str, rows, graph: ProgramGraph) -> tuple:
-    """{b: d} per function a from [a, b, d] rows: two ids and a distance >= 0.
-
-    Each check is one C-speed pass over a column, so a valid map loads
-    nearly as fast as an unchecked one; only a failing map pays for the
-    scan that finds the bad row. Floats never get here: the parser rejects
-    them.
-    """
-    if not isinstance(rows, list):
-        raise DistanceMapError(f"{path}: field '{name}' is not a list")
-    table: defaultdict = defaultdict(dict)
-    try:
-        # Every element, not the deduplicated ids: True == 1 would hide there.
-        ok = set(map(type, chain.from_iterable(rows))) <= {int}
-        for a, b, d in rows:
-            table[a][b] = d
-    except (TypeError, ValueError):  # a row of the wrong length, or a list id
-        ok = False
-    if not ok:
-        bad = next(
-            r for r in rows
-            if not isinstance(r, list) or len(r) != 3 or {type(x) for x in r} != {int}
-        )
-        raise DistanceMapError(f"{path}: {name} row {bad!r} is not three integers")
-    if sum(map(len, table.values())) != len(rows):
-        raise DistanceMapError(f"{path}: {name} has two rows for one function pair")
-    if min((min(row.values()) for row in table.values()), default=0) < 0:
-        bad = next(r for r in rows if r[2] < 0)
-        raise DistanceMapError(f"{path}: {name} row {bad} has a negative distance")
-    unknown = set(table).union(*table.values()) - set(range(graph.n_functions))
-    if unknown:
-        raise DistanceMapError(f"{path}: {name} names unknown function {min(unknown)}")
-    return tuple(table[a] for a in range(graph.n_functions))
+    return built

@@ -416,36 +416,30 @@ def decode_text(raw: bytes, error, where: str) -> str:
         raise error(f"{where}: not UTF-8 text") from None
 
 
-def parse_json(text: str, error, where: str, **hooks):
-    """JSON text as Python values; error, prefixed with where, if it is not.
-
-    hooks go to json.loads (parse_float, parse_constant).
-    """
+def parse_json(text: str, error, where: str):
+    """JSON text as Python values; error, prefixed with where, if it is not."""
     try:
-        return json.loads(text, **hooks)
-    except InputError:
-        raise  # from a hook
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise error(f"{where}: line {exc.lineno}: {exc.msg}") from None
     except (RecursionError, ValueError) as exc:  # too deep; an integer too long
         raise error(f"{where}: {exc}") from None
 
 
-def read_json(path: str, error, where=None, **hooks):
-    """The UTF-8 JSON file at path; where defaults to the path.
+def read_json(path: str, error):
+    """The UTF-8 JSON file at path.
 
     The bytes are dropped once decoded, so a large file is never held twice
     while it is parsed.
     """
-    where = where or path
-    text = decode_text(read_bytes(path, error), error, where)
-    return parse_json(text, error, where, **hooks)
+    return parse_json(decode_text(read_bytes(path, error), error, path), error, path)
 
 
 def canonical_json(data) -> bytes:
     """Compact, key-sorted JSON plus a newline: the graph and result files.
 
-    A distance map is the same JSON, written one row at a time by distance.py.
+    A distance map is the same JSON, written part by part by distance.py,
+    which reads a map back only as those bytes.
 
     One-shot json.dumps runs CPython's C encoder; streaming json.dump to a
     file does not.

@@ -1,9 +1,10 @@
 """Every input loader either loads a file or raises InputError, whatever the bytes.
 
 Each loader is fed arbitrary bytes, its valid file with a slice replaced, and,
-for the JSON formats, its valid file with values dropped or replaced. When the
-loader rejects a file, the CLI command that reads it must exit 2 with one
-``fishsched:`` line on stderr and write nothing.
+for the JSON formats, its valid file with values dropped or replaced. A map's
+valid file is the bytes analyze writes. When the loader rejects a file, the
+CLI command that reads it must exit 2 with one ``fishsched:`` line on stderr
+and write nothing.
 """
 
 import contextlib
@@ -19,7 +20,9 @@ from hypothesis import strategies as st
 
 from fishsched.cli import _read_trace, _spec_from_file, main
 from fishsched.distance import build_distance_map, load_distance_map, save_distance_map
-from fishsched.graph import InputError, graph_to_dict, load_program, save_program
+from fishsched.graph import (
+    InputError, canonical_json, graph_to_dict, load_program, save_program,
+)
 from fishsched.simulator import (
     CampaignConfig,
     CampaignResult,
@@ -49,14 +52,14 @@ def world(tmp_path_factory):
     return graph, dmap
 
 
-def _saved_map():
+def _saved_map() -> bytes:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "m"
         save_distance_map(build_distance_map(GRAPH), str(path))
-        return json.loads(path.read_text())
+        return path.read_bytes()
 
 
-# kind -> (valid file as JSON data or text, loader, CLI argv reading the file)
+# kind -> (valid file as JSON data, text or bytes, loader, CLI argv reading it)
 LOADERS = {
     "graph": (
         graph_to_dict(GRAPH),
@@ -116,7 +119,7 @@ def mutated_json(draw, valid):
     data = copy.deepcopy(valid)
     for _ in range(draw(st.integers(1, 3))):
         data = _mutate(draw, data)
-    return json.dumps(data).encode("utf-8")
+    return canonical_json(data)
 
 
 @st.composite
@@ -128,12 +131,24 @@ def spliced(draw, valid: bytes):
     return valid[:i] + draw(fill) + valid[j:]
 
 
+def _as_bytes(valid) -> bytes:
+    if isinstance(valid, str):
+        return valid.encode("utf-8")
+    return valid if isinstance(valid, bytes) else canonical_json(valid)
+
+
+def _as_data(kind):
+    """The valid file of a JSON kind as JSON data."""
+    valid = LOADERS[kind][0]
+    return json.loads(valid) if isinstance(valid, bytes) else copy.deepcopy(valid)
+
+
 def inputs(kind):
     valid = LOADERS[kind][0]
+    fuzzed = st.binary(max_size=64) | spliced(_as_bytes(valid))
     if isinstance(valid, str):
-        return st.binary(max_size=64) | spliced(valid.encode("utf-8"))
-    raw = json.dumps(valid).encode("utf-8")
-    return st.binary(max_size=64) | spliced(raw) | mutated_json(valid)
+        return fuzzed
+    return fuzzed | mutated_json(_as_data(kind))
 
 
 def _run_cli(argv):
@@ -166,7 +181,7 @@ def test_any_input_loads_or_is_one_diagnostic_line(world, kind, data):
 
 
 def _without_a_required_field(kind):
-    data = copy.deepcopy(LOADERS[kind][0])
+    data = _as_data(kind)
     record = data["functions"][0] if kind == "graph" else data
     del record[{"graph": "entry", "map": "dff", "spec": "n_functions",
                 "result": "rng_seed"}[kind]]
@@ -176,9 +191,11 @@ def _without_a_required_field(kind):
 RECORD_FAULTS = {
     "not an object": (lambda kind: [], "expected a JSON object"),
     "missing field": (_without_a_required_field, "missing field"),
-    "unknown field": (lambda kind: {**LOADERS[kind][0], "colour": 1},
+    "unknown field": (lambda kind: {**_as_data(kind), "colour": 1},
                       "unknown field(s) ['colour']"),
 }
+# A map is never parsed; each record fault breaks the header analyze writes.
+MAP_FAULT = "the built_from header differs"
 
 
 @pytest.mark.parametrize("kind", ["graph", "map", "spec", "result"])
@@ -186,10 +203,10 @@ RECORD_FAULTS = {
 def test_every_json_loader_checks_its_records_alike(tmp_path, kind, fault):
     make, expected = RECORD_FAULTS[fault]
     path = tmp_path / "input"
-    path.write_text(json.dumps(make(kind)))
+    path.write_bytes(canonical_json(make(kind)))
     with pytest.raises(InputError) as exc:
         LOADERS[kind][1](str(path))
-    assert expected in str(exc.value)
+    assert (MAP_FAULT if kind == "map" else expected) in str(exc.value)
 
 
 def test_valid_inputs_load(world):
@@ -197,5 +214,5 @@ def test_valid_inputs_load(world):
     for kind, (valid, load, _argv) in LOADERS.items():
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "input"
-            path.write_text(valid if isinstance(valid, str) else json.dumps(valid))
+            path.write_bytes(_as_bytes(valid))
             load(str(path))

@@ -332,6 +332,24 @@ def test_campaign_series_monotone():
         assert r.final_triggered == r.series[-1][3]
 
 
+def test_campaign_series_is_flat_and_reads_as_its_rows():
+    g = small_world()
+    r = run_campaign(g, CampaignConfig(scheduler="fishfuzz", duration=200, rng_seed=3))
+    rows = [list(row) for row in r.series]
+    assert type(r.series) is simulator.Series
+    assert len(r.series.flat) == 4 * len(rows) == 4 * 200
+    assert r.series.flat.itemsize == 8  # 32 bytes a row
+    assert [row[0] for row in rows] == list(range(1, 201))
+    assert r.series == rows and rows == r.series and r.series != rows[:-1]
+    assert r.series[-1] == rows[-1] and r.series[5:9] == rows[5:9]
+    assert r.series[::-1] == rows[::-1]
+    with pytest.raises(IndexError):
+        r.series[200]
+    loaded = CampaignResult.from_json_bytes(r.to_json_bytes())
+    assert loaded.series == rows and loaded == r
+    assert loaded.to_json_bytes() == r.to_json_bytes()
+
+
 def test_campaign_timeline_well_formed():
     g = small_world()
     r = run_campaign(g, CampaignConfig(scheduler="fishfuzz", duration=400, rng_seed=5))
