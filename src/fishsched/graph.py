@@ -80,7 +80,7 @@ class Function:
         return block_id in self._block_map
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class IndirectEdge:
     """A call edge known to the simulator but invisible to static analysis."""
 
@@ -92,8 +92,7 @@ class IndirectEdge:
 @dataclass(frozen=True)
 class ProgramGraph:
     functions: tuple[Function, ...]
-    call_edges: frozenset  # (caller, callee) pairs from direct call sites
-    indirect_edges: tuple[IndirectEdge, ...]
+    indirect_edges: tuple[IndirectEdge, ...]  # ascending
 
     @property
     def n_functions(self) -> int:
@@ -122,6 +121,13 @@ class ProgramGraph:
         """Target id -> target, in ascending id."""
         found = [t for f in self.functions for t in f.targets]
         return {t.id: t for t in sorted(found, key=lambda t: t.id)}
+
+    @cached_property
+    def call_edges(self) -> frozenset:
+        """(caller, callee) pairs from direct call sites."""
+        return frozenset(
+            (f.id, c) for f in self.functions for b in f.blocks for c in b.calls
+        )
 
     @cached_property
     def ground_truth(self) -> frozenset:
@@ -230,12 +236,10 @@ def _ids(obj: dict, key: str, where: str) -> tuple[int, ...]:
     return tuple(values)
 
 
-def _function(obj: dict, where: str, remap: dict, call_edges: set,
-              target_owner: dict) -> Function:
+def _function(obj: dict, where: str, remap: dict, target_owner: dict) -> Function:
     """One function object, built once with dense ids and checked as it is built.
 
-    call_edges gains the function's direct (dense) call pairs; target_owner
-    maps every target id seen so far to its function's file id.
+    target_owner maps every target id seen so far to its function's file id.
     """
     fid = obj["id"]
     dense = remap[fid]
@@ -250,15 +254,19 @@ def _function(obj: dict, where: str, remap: dict, call_edges: set,
         check_fields(bobj, bwhere, ("id",), ("succ", "calls"))
         bid = _id(bobj, "id", bwhere)
         succ = _ids(bobj, "succ", bwhere)
-        calls = []
-        for callee in _ids(bobj, "calls", bwhere):
+        callees = _ids(bobj, "calls", bwhere)
+        for callee in callees:
             if callee not in remap:
                 raise ValidationError(
                     f"function {fid}: block {bid} calls unknown function {callee}"
                 )
-            calls.append(remap[callee])
-        call_edges.update((dense, c) for c in calls)
-        blocks.append(BasicBlock(id=bid, successors=succ, calls=tuple(calls)))
+        if len(set(callees)) != len(callees):
+            c = next(c for k, c in enumerate(callees) if c in callees[:k])
+            raise ValidationError(
+                f"function {fid}: block {bid} lists callee {c} twice"
+            )
+        calls = tuple(remap[c] for c in callees)
+        blocks.append(BasicBlock(id=bid, successors=succ, calls=calls))
 
     bids = {b.id for b in blocks}
     if len(bids) != len(blocks):
@@ -320,13 +328,13 @@ def graph_from_dict(data) -> ProgramGraph:
         raise ValidationError("duplicate function ids")
 
     functions: list = [None] * len(remap)
-    call_edges: set = set()
     target_owner: dict = {}
     for i, obj in enumerate(fobjs):
-        fn = _function(obj, f"functions[{i}]", remap, call_edges, target_owner)
+        fn = _function(obj, f"functions[{i}]", remap, target_owner)
         functions[fn.id] = fn
 
-    indirect = []
+    direct = {(f.id, c) for f in functions for b in f.blocks for c in b.calls}
+    indirect: set = set()
     for i, eobj in enumerate(_list_field(data, "indirect_edges", "top level")):
         where = f"indirect_edges[{i}]"
         check_fields(eobj, where, _IEDGE_KEYS)
@@ -339,17 +347,18 @@ def graph_from_dict(data) -> ProgramGraph:
             raise ValidationError(
                 f"indirect edge from function {src}: block {block} not found"
             )
-        if (remap[src], remap[dst]) in call_edges:
+        if (remap[src], remap[dst]) in direct:
             raise ValidationError(
                 f"indirect edge {src}->{dst} duplicates a direct call edge"
             )
-        indirect.append(IndirectEdge(remap[src], block, remap[dst]))
+        edge = IndirectEdge(remap[src], block, remap[dst])
+        if edge in indirect:
+            raise ValidationError(
+                f"indirect edge {src}->{dst} from block {block} is listed twice"
+            )
+        indirect.add(edge)
 
-    return ProgramGraph(
-        functions=tuple(functions),
-        call_edges=frozenset(call_edges),
-        indirect_edges=tuple(indirect),
-    )
+    return ProgramGraph(tuple(functions), tuple(sorted(indirect)))
 
 
 def graph_to_dict(graph: ProgramGraph) -> dict:
@@ -371,9 +380,7 @@ def graph_to_dict(graph: ProgramGraph) -> dict:
     if graph.indirect_edges:
         data["indirect_edges"] = [
             {"from_fn": e.from_fn, "from_block": e.from_block, "to_fn": e.to_fn}
-            for e in sorted(
-                graph.indirect_edges, key=lambda e: (e.from_fn, e.from_block, e.to_fn)
-            )
+            for e in graph.indirect_edges
         ]
     return data
 

@@ -9,6 +9,7 @@ way it would be at runtime.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import re
@@ -20,13 +21,16 @@ from .distance import build_distance_map, harmonic_distance
 from .execution import ExecutionTrace, Seed, dsf
 from .graph import (
     ENTRY_FUNCTION,
+    BasicBlock,
+    Function,
+    IndirectEdge,
     InputError,
     ProgramGraph,
+    Target,
     bfs_hops,
     canonical_json,
     check_fields,
     decode_text,
-    graph_from_dict,
     graph_hash,
     parse_json,
 )
@@ -157,10 +161,10 @@ def generate_program(spec: SyntheticProgramSpec) -> ProgramGraph:
     n = spec.n_functions
     lo, hi = spec.blocks_per_function
 
-    blocks_per_fn: list[list[dict]] = []
-    for fid in range(n):
+    succs: list[list[tuple]] = []  # function -> block -> sorted successor ids
+    for _ in range(n):
         nb = rng.randint(lo, hi)
-        succ: dict[int, set] = {b: set() for b in range(nb)}
+        succ: list[set] = [set() for _ in range(nb)]
         for j in range(1, nb):
             succ[rng.randrange(j)].add(j)
         for b in range(nb):
@@ -168,9 +172,7 @@ def generate_program(spec: SyntheticProgramSpec) -> ProgramGraph:
                 dst = rng.randrange(nb)
                 if dst != b:
                     succ[b].add(dst)
-        blocks_per_fn.append(
-            [{"id": b, "succ": sorted(succ[b]), "calls": []} for b in range(nb)]
-        )
+        succs.append([tuple(sorted(s)) for s in succ])
 
     edge_set = {(rng.randrange(j), j) for j in range(1, n)}
     extra = max(0, round(spec.call_density * n) - len(edge_set))
@@ -196,39 +198,24 @@ def generate_program(spec: SyntheticProgramSpec) -> ProgramGraph:
             indirect.update(moved)
             direct = [e for e in direct if e[1] != victim]
 
+    calls: list[list[list[int]]] = [[[] for _ in succ] for succ in succs]
     for u, v in direct:
-        site = rng.randrange(len(blocks_per_fn[u]))
-        blocks_per_fn[u][site]["calls"].append(v)
-
-    indirect_objs = []
-    for u, v in sorted(indirect):
-        site = rng.randrange(len(blocks_per_fn[u]))
-        indirect_objs.append({"from_fn": u, "from_block": site, "to_fn": v})
+        calls[u][rng.randrange(len(calls[u]))].append(v)
+    indirect_edges = tuple(sorted(
+        IndirectEdge(u, rng.randrange(len(calls[u])), v) for u, v in sorted(indirect)
+    ))
 
     tlo, thi = spec.targets_per_function
-    next_tid = 0
-    fn_objs = []
-    for fid in range(n):
-        targets = []
-        for _ in range(rng.randint(tlo, thi)):
-            targets.append(
-                {"id": next_tid, "block": rng.randrange(len(blocks_per_fn[fid]))}
-            )
-            next_tid += 1
-        fn_objs.append(
-            {
-                "id": fid,
-                "name": f"fn{fid}",
-                "entry": 0,
-                "blocks": blocks_per_fn[fid],
-                "targets": targets,
-            }
+    tids = itertools.count()
+    functions = []
+    for fid, (succ, fcalls) in enumerate(zip(succs, calls)):
+        blocks = tuple(map(BasicBlock, itertools.count(), succ, map(tuple, fcalls)))
+        targets = tuple(
+            Target(next(tids), fid, rng.randrange(len(succ)))
+            for _ in range(rng.randint(tlo, thi))
         )
-
-    data: dict = {"functions": fn_objs}
-    if indirect_objs:
-        data["indirect_edges"] = indirect_objs
-    return graph_from_dict(data)
+        functions.append(Function(fid, f"fn{fid}", 0, blocks, targets))
+    return ProgramGraph(tuple(functions), indirect_edges)
 
 
 def _reached_from_entry(edges) -> set:

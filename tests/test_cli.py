@@ -636,6 +636,11 @@ BAD_INPUTS = {
                         "--out", str(tmp / "out")],
         "bad_calls.graph: function 0: block 0 calls unknown function 99\n",
     ),
+    "graph listing a callee twice": (
+        lambda tmp, g: ["analyze", "--graph", _graph_with(tmp, "calls", [1, 1]),
+                        "--out", str(tmp / "out")],
+        "bad_calls.graph: function 0: block 0 lists callee 1 twice\n",
+    ),
     "spec of an empty targets_per_function range": (
         lambda tmp, g: _spec(tmp, targets_per_function=[3, 1]),
         "s.spec: targets_per_function range must satisfy",

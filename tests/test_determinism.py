@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 import fishsched
-from fishsched.graph import graph_from_dict, graph_to_dict
+from fishsched.graph import graph_from_dict, graph_hash, graph_to_dict
 from fishsched.scheduler import SchedulerConfig
 from fishsched.simulator import (
     SCHEDULERS,
@@ -144,3 +144,33 @@ def test_descending_target_ids_match_pinned_digests():
         ]).encode())
         digests[scheduler] = digest.hexdigest()
     assert digests == PINNED_DESCENDING_IDS_SHA256
+
+
+# graph_hash of generated programs, keyed by (n_functions, branch_probability,
+# indirect_edge_fraction, targets_per_function): one, two and forty
+# functions, no block and every block branching, no call edge and every call
+# edge indirect, no targets and several per function. The last row takes the
+# step that hides one function when no indirect edge cuts reachability. So
+# the order of every rng draw of the generator is pinned.
+PINNED_GRAPH_SHA256 = {
+    (1, 0, 0, (0, 0)): "98fc2b8031dfd3ddfbf1157abaed3a2fced2ac0d019bac30b1a2ba94d964c5a3",
+    (1, 1, 1, (2, 5)): "eeaea3a7f7ecd6ecd12b4b24c88467d88400da4a08d73248b49a939230311549",
+    (2, 0, 1, (2, 5)): "cd6456ac5c3e106f01fa7c8ad4b816b79dc0ecf7006f0b099147b8c5130bfd6c",
+    (2, 1, 0, (0, 0)): "a5a52ba19dffa75c0bfe6d05c058dca2b7daf66750598088c2aabe363b4ae66a",
+    (40, 0, 0, (2, 5)): "789071475e76663950a4fc2cf22483fa0c7a6d052cbbcf013cd0e471836f108f",
+    (40, 1, 1, (0, 0)): "99b5f40b4d4d4277652730e863a2c32a1428b085c226496e6ada1f920f658ffa",
+    (40, 1, 0, (2, 5)): "daebd344c36090635980cbec33b914731e3e9027daba06e34f8d996ebef903a5",
+    (40, 0, 1, (0, 0)): "13d762402659b0e497d6848096c0a3f321c345a5294239d9d5ae1990845127f0",
+    (40, 0.5, 0.01, (2, 5)): "52dfd7c56f289fb1a4b86edefa3d91d783b7f299ec7f843888f88bd9de8ec9b4",
+}
+
+
+def test_generated_graphs_match_pinned_hashes():
+    hashes = {
+        (n, branch, indirect, targets): graph_hash(generate_program(SyntheticProgramSpec(
+            n_functions=n, branch_probability=branch, indirect_edge_fraction=indirect,
+            targets_per_function=targets, call_density=1, rng_seed=3,
+        )))
+        for n, branch, indirect, targets in PINNED_GRAPH_SHA256
+    }
+    assert hashes == PINNED_GRAPH_SHA256

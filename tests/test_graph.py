@@ -232,6 +232,15 @@ SPARSE_FAULTS = {
         lambda d: d["functions"][0]["blocks"][1]["calls"].append(25),
         "function 10: block 1 calls unknown function 25",
     ),
+    # A repeated callee or indirect edge would change graph_hash, not the program.
+    "repeated callee": (
+        lambda d: d["functions"][0]["blocks"][1]["calls"].append(40),
+        "function 10: block 1 lists callee 40 twice",
+    ),
+    "repeated indirect edge": (
+        lambda d: d["indirect_edges"].append(dict(d["indirect_edges"][0])),
+        "indirect edge 40->10 from block 0 is listed twice",
+    ),
     "duplicate target": (
         lambda d: d["functions"][0]["targets"].append({"id": 0, "block": 0}),
         "duplicate target id 0 (functions 10 and 40)",

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from fishsched import scheduler, simulator
 from fishsched.distance import build_distance_map
 from fishsched.execution import ExecutionTrace, Seed, dsf
-from fishsched.graph import ENTRY_FUNCTION, graph_from_dict, graph_hash
+from fishsched.graph import ENTRY_FUNCTION, graph_from_dict, graph_hash, graph_to_dict
 from fishsched.scheduler import SchedulerConfig
 from fishsched.simulator import (
     CampaignConfig,
@@ -65,6 +65,32 @@ def test_generation_is_deterministic():
     g2 = generate_program(spec)
     assert g1 == g2
     assert graph_hash(g1) == graph_hash(g2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n_functions=st.integers(1, 12),
+    blocks=st.tuples(st.integers(1, 4), st.integers(0, 4)),
+    targets=st.tuples(st.integers(0, 2), st.integers(0, 3)),
+    branch_probability=st.floats(0, 1),
+    indirect_edge_fraction=st.floats(0, 1),
+    rng_seed=st.integers(0, 2**16),
+)
+def test_generated_graph_equals_its_saved_and_loaded_copy(
+    n_functions, blocks, targets, branch_probability, indirect_edge_fraction, rng_seed
+):
+    g = generate_program(SyntheticProgramSpec(
+        n_functions=n_functions,
+        blocks_per_function=(blocks[0], blocks[0] + blocks[1]),
+        branch_probability=branch_probability,
+        call_density=min(1.5, n_functions - 1),
+        indirect_edge_fraction=indirect_edge_fraction,
+        targets_per_function=(targets[0], targets[0] + targets[1]),
+        rng_seed=rng_seed,
+    ))
+    back = graph_from_dict(graph_to_dict(g))
+    assert back == g
+    assert graph_hash(back) == graph_hash(g)
 
 
 def test_generation_differs_across_seeds():
