@@ -180,7 +180,6 @@ def cmd_simulate(args) -> None:
             CampaignConfig(
                 scheduler=scheduler,
                 duration=args.duration,
-                executions_per_tick=args.executions_per_tick,
                 rng_seed=args.seed_base + k,
                 scheduler_config=sched_cfg,
             )
@@ -197,7 +196,8 @@ def cmd_simulate(args) -> None:
     results = []
     for config in configs:
         result = run_campaign(graph, config)
-        results.append(result)
+        if args.compare:
+            results.append(result)
         path = out_dir / f"result_{config.scheduler}_{config.rng_seed}.json"
         path.write_bytes(result.to_json_bytes())
 
@@ -299,8 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="number of campaign rng seeds (default: 1)")
     p.add_argument("--seed-base", type=int, default=1,
                    help="first rng seed (default: 1)")
-    p.add_argument("--executions-per-tick", type=int, default=1,
-                   help="executions per virtual tick (default: 1)")
     p.add_argument("--w-function", type=float, default=None,
                    help="ticks without a new function before leaving inter-exploration")
     p.add_argument("--w-reach", type=float, default=None,

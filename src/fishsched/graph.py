@@ -334,7 +334,7 @@ def graph_from_dict(data) -> ProgramGraph:
         functions[fn.id] = fn
 
     direct = {(f.id, c) for f in functions for b in f.blocks for c in b.calls}
-    indirect: set = set()
+    indirect: dict = {}  # (from_fn, to_fn) -> edge: execution reads only the pair
     for i, eobj in enumerate(_list_field(data, "indirect_edges", "top level")):
         where = f"indirect_edges[{i}]"
         check_fields(eobj, where, _IEDGE_KEYS)
@@ -347,18 +347,18 @@ def graph_from_dict(data) -> ProgramGraph:
             raise ValidationError(
                 f"indirect edge from function {src}: block {block} not found"
             )
-        if (remap[src], remap[dst]) in direct:
+        pair = (remap[src], remap[dst])
+        if pair in direct:
             raise ValidationError(
                 f"indirect edge {src}->{dst} duplicates a direct call edge"
             )
-        edge = IndirectEdge(remap[src], block, remap[dst])
-        if edge in indirect:
+        if pair in indirect:
             raise ValidationError(
                 f"indirect edge {src}->{dst} from block {block} is listed twice"
             )
-        indirect.add(edge)
+        indirect[pair] = IndirectEdge(remap[src], block, remap[dst])
 
-    return ProgramGraph(tuple(functions), tuple(sorted(indirect)))
+    return ProgramGraph(tuple(functions), tuple(sorted(indirect.values())))
 
 
 def graph_to_dict(graph: ProgramGraph) -> dict:

@@ -314,7 +314,6 @@ def sample_size(parent_size: int, rng: random.Random) -> int:
 class CampaignConfig:
     scheduler: str
     duration: int
-    executions_per_tick: int = 1
     rng_seed: int = 0
     scheduler_config: SchedulerConfig = field(default_factory=SchedulerConfig)
 
@@ -324,15 +323,13 @@ class CampaignConfig:
                 f"unknown scheduler {self.scheduler!r}; expected one of {SCHEDULERS}"
             )
         # A bool or float would run, then write a result its loader rejects.
-        for name in ("duration", "executions_per_tick", "rng_seed"):
+        for name in ("duration", "rng_seed"):
             if type(getattr(self, name)) is not int:
                 raise ValueError(f"{name} must be an int")
         if not isinstance(self.scheduler_config, SchedulerConfig):
             raise ValueError("scheduler_config must be a SchedulerConfig")
         if self.duration < 0:
             raise ValueError("duration must be non-negative")
-        if self.executions_per_tick < 1:
-            raise ValueError("executions_per_tick must be at least 1")
 
 
 # Checks of result-file values. A type must match exactly, so a JSON true
@@ -492,6 +489,10 @@ class CampaignResult:
             return f"queue_stats has keys {sorted(stats)}, not {keys}"
         if not stats["n_favored"] <= stats["n_seeds"] <= stats["executions"]:
             return "queue_stats breaks n_favored <= n_seeds <= executions"
+        # The first input runs at tick 0, then one execution per tick.
+        if stats["executions"] != self.duration + 1:
+            return (f"queue_stats.executions is {stats['executions']}, "
+                    f"not duration + 1 = {self.duration + 1}")
         if not re.fullmatch("[0-9a-f]{64}", self.graph_hash):
             return "graph_hash is not 64 lowercase hex digits"
         return None
@@ -528,17 +529,16 @@ def run_campaign_with_queue(graph: ProgramGraph, config: CampaignConfig):
 
     queue: list = []
     covered: set = set()
-    reached_count = trig_count = executions = 0
+    reached_count = trig_count = 0
     timeline: list = [[0, phase.value, "start"]]
     series = Series()
 
     def execute(parent, now: int):
         """Run, record and queue one input; the first (parent None) is always queued."""
-        nonlocal reached_count, trig_count, executions
+        nonlocal reached_count, trig_count
         trace = execute_mutation(parent, graph, rng)
         exec_time = sample_exec_time(len(trace.functions), rng)
         size = INITIAL_SEED_SIZE if parent is None else sample_size(parent.size, rng)
-        executions += 1
 
         summary = ranking.record_execution(trace, now)
         summary = replace(summary, new_functions=fstate.observe(trace))
@@ -591,28 +591,27 @@ def run_campaign_with_queue(graph: ProgramGraph, config: CampaignConfig):
     cull()
 
     for now in range(1, config.duration + 1):
-        for _ in range(config.executions_per_tick):
-            if policy == "round_robin":
-                parent = queue[(executions - 1) % len(queue)]
-            else:
-                parent = select_next_seed(queue, rng)
-            summary, admitted = execute(parent, now)
+        if policy == "round_robin":
+            parent = queue[(now - 1) % len(queue)]
+        else:
+            parent = select_next_seed(queue, rng)
+        summary, admitted = execute(parent, now)
 
-            prev = phase
-            phase = phase_step(phase, clock, now, cfg, summary)
-            # Novelty names its events; a phase change without any is a timeout.
-            events = [ev for ev, n in zip(
-                ("new_function", "new_reach", "new_trigger"),
-                (summary.new_functions, summary.new_reached, summary.new_triggered),
-            ) if n] or (["timeout"] if phase is not prev else [])
-            timeline.extend([now, phase.value, ev] for ev in events)
-            clock.update(now, summary)
+        prev = phase
+        phase = phase_step(phase, clock, now, cfg, summary)
+        # Novelty names its events; a phase change without any is a timeout.
+        events = [ev for ev, n in zip(
+            ("new_function", "new_reach", "new_trigger"),
+            (summary.new_functions, summary.new_reached, summary.new_triggered),
+        ) if n] or (["timeout"] if phase is not prev else [])
+        timeline.extend([now, phase.value, ev] for ev in events)
+        clock.update(now, summary)
 
-            # Hit counts move with every execution, so exploitation reculls
-            # after each one to rotate service onto the least-hit targets.
-            exploiting = policy == "fishfuzz" and phase is Phase.EXPLOIT
-            if events or admitted or exploiting:
-                cull()
+        # Hit counts move with every execution, so exploitation reculls
+        # after each one to rotate service onto the least-hit targets.
+        exploiting = policy == "fishfuzz" and phase is Phase.EXPLOIT
+        if events or admitted or exploiting:
+            cull()
 
         series.flat.extend((now, len(covered), reached_count, trig_count))
 
@@ -630,7 +629,7 @@ def run_campaign_with_queue(graph: ProgramGraph, config: CampaignConfig):
         queue_stats={
             "n_seeds": len(queue),
             "n_favored": sum(1 for s in queue if s.favor),
-            "executions": executions,
+            "executions": config.duration + 1,
         },
         final_coverage=len(covered),
         final_reached=reached_count,

@@ -441,35 +441,34 @@ def oracle_campaign(graph, config):
     execute(None, 0)
     cull()
     for now in range(1, config.duration + 1):
-        for _ in range(config.executions_per_tick):
-            if policy == "round_robin":
-                parent = queue[(executions - 1) % len(queue)]
+        if policy == "round_robin":
+            parent = queue[(executions - 1) % len(queue)]
+        else:
+            favored = [s for s in queue if s.favor]
+            if favored:
+                rng.random()  # the campaign draws once more when it has favourites
+                parent = rng.choice(favored)
             else:
-                favored = [s for s in queue if s.favor]
-                if favored:
-                    rng.random()  # the campaign draws once more when it has favourites
-                    parent = rng.choice(favored)
-                else:
-                    parent = rng.choice(queue)
-            novelty = execute(parent, now)
+                parent = rng.choice(queue)
+        novelty = execute(parent, now)
 
-            before = phase
-            quiet = {ev: now - t for ev, t in last.items()}
-            if novelty["new_function"]:
-                phase = "inter_explore"
-            elif phase == "inter_explore" and quiet["new_function"] >= cfg.w_function:
-                phase = "intra_explore"
-            elif phase == "intra_explore" and quiet["new_reach"] >= cfg.w_reach:
-                phase = "exploit"
-            elif phase == "exploit" and quiet["new_trigger"] >= cfg.w_trigger:
-                phase = "inter_explore"
-            events = [ev for ev, n in novelty.items() if n]
-            for ev in events:
-                last[ev] = now
-            if not events and phase != before:
-                events = ["timeout"]
-            timeline.extend([now, phase, ev] for ev in events)
-            cull()
+        before = phase
+        quiet = {ev: now - t for ev, t in last.items()}
+        if novelty["new_function"]:
+            phase = "inter_explore"
+        elif phase == "inter_explore" and quiet["new_function"] >= cfg.w_function:
+            phase = "intra_explore"
+        elif phase == "intra_explore" and quiet["new_reach"] >= cfg.w_reach:
+            phase = "exploit"
+        elif phase == "exploit" and quiet["new_trigger"] >= cfg.w_trigger:
+            phase = "inter_explore"
+        events = [ev for ev, n in novelty.items() if n]
+        for ev in events:
+            last[ev] = now
+        if not events and phase != before:
+            events = ["timeout"]
+        timeline.extend([now, phase, ev] for ev in events)
+        cull()
         series.append([
             now, len(covered),
             sum(st[1] is not None for st in state.values()),

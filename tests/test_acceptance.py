@@ -421,7 +421,7 @@ def test_simulate_determinism(tmp_path, capsys):
         ["simulate", "--graph", str(graph_path),
          "--compare", "fishfuzz,round_robin", "--duration", "60", "--seeds", "2"],
         ["simulate", "--graph", str(graph_path), "--scheduler", "harmonic_directed",
-         "--duration", "80", "--executions-per-tick", "2", "--seeds", "1"],
+         "--duration", "160", "--seeds", "1"],
     ]
     identical = True
     for i, argv in enumerate(configs):

@@ -1,6 +1,7 @@
 import csv
 import json
 import tempfile
+import weakref
 from dataclasses import fields
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fishsched import cli
 from fishsched.cli import main
 from fishsched.graph import canonical_json, load_program, save_program
 from fishsched.simulator import (
@@ -207,6 +209,29 @@ def test_simulate_compare_writes_all_campaigns(tmp_path, capsys, small_graph_fil
     assert len(results) == 4  # 2 schedulers x 2 seeds
     assert (out / "comparison.csv").exists()
     assert "fishfuzz" in stdout
+
+
+def test_simulate_without_compare_keeps_no_written_result(
+    tmp_path, capsys, small_graph_file, monkeypatch
+):
+    # Only --compare reads the results back, so without it each result is
+    # freed once written, and many seeds peak no higher than one.
+    written = []
+
+    def run_and_watch(graph, config):
+        # The loop still holds the previous result until this call returns.
+        assert all(ref() is None for ref in written[:-1])
+        result = run_campaign(graph, config)
+        written.append(weakref.ref(result))
+        return result
+
+    monkeypatch.setattr(cli, "run_campaign", run_and_watch)
+    code, _stdout, stderr = run_cli(
+        capsys, "simulate", "--graph", small_graph_file, "--scheduler", "round_robin",
+        "--duration", "5", "--seeds", "4", "--out", str(tmp_path / "out"),
+    )
+    assert code == 0 and stderr == ""
+    assert len(written) == 4
 
 
 def test_simulate_rerun_is_byte_identical(tmp_path, capsys, small_graph_file):
@@ -472,15 +497,12 @@ BAD_INPUTS = {
                         "--scheduler", "round_robin", "--duration", "2"],
         "fishsched: a campaign needs a graph with at least one function\n",
     ),
-    "zero executions per tick": (
-        lambda tmp, g: ["simulate", "--graph", g, "--executions-per-tick", "0"],
-        "executions_per_tick must be at least 1",
-    ),
-    # The exploitation pass has no knobs.
+    # The exploitation pass has no knobs, and a tick is one execution.
     **{f"removed flag {' '.join(flag)}": (
         lambda tmp, g, flag=flag: ["simulate", "--graph", g, *flag],
         f"unrecognized arguments: {' '.join(flag)}",
-    ) for flag in (("--exploit-fraction", "0.5"), ("--exploit-include-triggered",))},
+    ) for flag in (("--exploit-fraction", "0.5"), ("--exploit-include-triggered",),
+                   ("--executions-per-tick", "2"))},
     "compare with zero seeds": (
         lambda tmp, g: ["simulate", "--graph", g, "--compare", "fishfuzz,afl_favor",
                         "--seeds", "0"],
@@ -618,6 +640,10 @@ BAD_INPUTS = {
         "more seeds than executions": (
             {"queue_stats": {"executions": 12, "n_favored": 4, "n_seeds": 13}},
             "queue_stats breaks n_favored <= n_seeds <= executions",
+        ),
+        "more executions than one per tick": (
+            {"queue_stats": {"executions": 22, "n_favored": 4, "n_seeds": 13}},
+            "queue_stats.executions is 22, not duration + 1 = 21",
         ),
         "an uppercase graph_hash": (
             {"graph_hash": "F" * 64},

@@ -5,13 +5,16 @@ walk driven by such an order would show up here as differing bytes. The
 bytes themselves are pinned too, so a refactor cannot change them unseen.
 """
 
+import csv
 import hashlib
+import io
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import fishsched
+from fishsched.compare import compare_campaigns
 from fishsched.graph import graph_from_dict, graph_hash, graph_to_dict
 from fishsched.scheduler import SchedulerConfig
 from fishsched.simulator import (
@@ -73,14 +76,39 @@ def test_outputs_match_pinned_digests(tmp_path):
     assert hashlib.sha256(stdout).hexdigest() == PINNED_STDOUT_SHA256
 
 
-# SHA-256 of each scheduler's result bytes and final queue at three
-# executions per tick, so the order of the runs inside one tick, and each
-# seed's parent and creation tick, are pinned as well.
+SWEEP_PIN = Path(__file__).parent / "fixtures" / "standard_sweep.sha256"
+
+
+def test_standard_sweep_matches_its_pin_file(standard_results):
+    # The session's 40 standard campaigns are the ones the CI step "Standard
+    # sweep pin" runs through the CLI, so their files are rebuilt here as
+    # simulate --compare writes them: each result, comparison.csv, stdout.
+    results = [r for by_seed in standard_results.results.values()
+               for r in by_seed.values()]
+    files = {f"result_{r.scheduler}_{r.rng_seed}.json": r.to_json_bytes()
+             for r in results}
+    report = compare_campaigns(results)
+    table = io.StringIO(newline="")
+    csv.writer(table).writerows(report.csv_rows())
+    files["comparison.csv"] = table.getvalue().encode()
+    files["stdout.txt"] = (report.text_table() + "\n").encode()
+    pinned = {}
+    for line in SWEEP_PIN.read_text().splitlines():
+        digest, name = line.split()
+        pinned[name.removeprefix("sweep/")] = digest
+    assert len(pinned) == 42
+    assert {name: hashlib.sha256(data).hexdigest()
+            for name, data in files.items()} == pinned
+
+
+# SHA-256 of each scheduler's result bytes and final queue over 451
+# executions, long enough for all three phases, so each seed's parent and
+# creation tick are pinned as well.
 PINNED_QUEUE_SHA256 = {
-    "fishfuzz": "ef175881d01b03c9bd567ed5b6f4ed86dc8f958878489d12791c07d5de00d365",
-    "round_robin": "e9037781e7840330e5875050ed0d9a2a48b13d287354cb7a46fd6f91b76f5f52",
-    "afl_favor": "b890a956ee89a12baa19b0cb3ba422de40021076eefeabe467cf1ba59c867695",
-    "harmonic_directed": "bd9d8bd2ea65ffa03e0d8e329c44a1e4343548ef76cd5a9eba2ecbde78f711a3",
+    "fishfuzz": "be42c1b629ec7a43cbda21fce457a7d214f03440c5104255a2f19aefea164e3a",
+    "round_robin": "d22d1cec2bc76367c6870baca82a529b0b636a204a414a81d3be24780684807a",
+    "afl_favor": "5802a500fcababb2e6a69a04ab7d7dbdad2e172b3c44ddd3d72a5ec10fd66247",
+    "harmonic_directed": "a3a881737cd3a028c87c9162ce07f51ba94198767f40fe19bd9d09523e639f70",
 }
 
 
@@ -94,11 +122,13 @@ def test_multi_execution_ticks_match_pinned_digests():
     digests = {}
     for scheduler in SCHEDULERS:
         config = CampaignConfig(
-            scheduler=scheduler, duration=150, executions_per_tick=3, rng_seed=7,
-            scheduler_config=SchedulerConfig(w_function=20, w_reach=10, w_trigger=40),
+            scheduler=scheduler, duration=450, rng_seed=7,
+            scheduler_config=SchedulerConfig(w_function=60, w_reach=30, w_trigger=120),
         )
         result, queue = run_campaign_with_queue(graph, config)
-        assert result.queue_stats["executions"] == 1 + 150 * 3
+        assert result.queue_stats["executions"] == 1 + 450
+        assert {phase for _, phase, _ in result.phase_timeline} == {
+            "inter_explore", "intra_explore", "exploit"}
         digest = hashlib.sha256(result.to_json_bytes())
         digest.update(repr([
             (s.id, s.parent, s.created_at, s.exec_time, s.size, s.favor) for s in queue

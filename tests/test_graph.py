@@ -241,6 +241,14 @@ SPARSE_FAULTS = {
         lambda d: d["indirect_edges"].append(dict(d["indirect_edges"][0])),
         "indirect edge 40->10 from block 0 is listed twice",
     ),
+    # Execution reads only the pair, so the same pair from another block
+    # would change graph_hash without changing the program.
+    "indirect edge repeated from another block": (
+        lambda d: (d["functions"][1]["blocks"].append({"id": 1}),
+                   d["indirect_edges"].append({"from_fn": 40, "from_block": 1,
+                                               "to_fn": 10})),
+        "indirect edge 40->10 from block 1 is listed twice",
+    ),
     "duplicate target": (
         lambda d: d["functions"][0]["targets"].append({"id": 0, "block": 0}),
         "duplicate target id 0 (functions 10 and 40)",

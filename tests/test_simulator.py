@@ -406,9 +406,8 @@ def test_admission_requires_novelty():
         reached |= s.trace.targets_reached
 
 
-@pytest.mark.parametrize("executions_per_tick", [1, 3])
 @pytest.mark.parametrize("scheduler", simulator.SCHEDULERS)
-def test_hit_targets_are_the_targets_queued_seeds_reach(scheduler, executions_per_tick):
+def test_hit_targets_are_the_targets_queued_seeds_reach(scheduler):
     # The first execution to reach a target has new_reached > 0, so it is
     # queued, and the queue only grows. So in a campaign every serviced
     # target has a queued seed reaching it, and exploitation_cull never
@@ -416,8 +415,8 @@ def test_hit_targets_are_the_targets_queued_seeds_reach(scheduler, executions_pe
     g = generate_program(SyntheticProgramSpec(n_functions=40, rng_seed=7))
     for seed in (1, 2, 3):
         config = CampaignConfig(
-            scheduler=scheduler, duration=300, executions_per_tick=executions_per_tick,
-            rng_seed=seed, scheduler_config=simulator.standard_scheduler_config(),
+            scheduler=scheduler, duration=300, rng_seed=seed,
+            scheduler_config=simulator.standard_scheduler_config(),
         )
         result, queue = run_campaign_with_queue(g, config)
         hit = {tid for tid, n in result.target_hits.items() if n > 0}
@@ -475,13 +474,12 @@ def test_result_json_round_trip():
     n_functions=st.integers(1, 12),
     graph_seed=st.integers(0, 2**16),
     scheduler=st.sampled_from(SCHEDULERS),
-    duration=st.integers(0, 60),
-    executions_per_tick=st.integers(1, 3),
+    duration=st.integers(0, 120),
     rng_seed=st.integers(-5, 2**16),
     timeout=st.integers(0, 20),
 )
 def test_every_simulated_result_reloads_to_the_same_bytes(
-    n_functions, graph_seed, scheduler, duration, executions_per_tick, rng_seed, timeout
+    n_functions, graph_seed, scheduler, duration, rng_seed, timeout
 ):
     # Every function holds a target, so harmonic_directed can run on any graph;
     # short timeouts walk the fishfuzz phases within the duration.
@@ -490,8 +488,7 @@ def test_every_simulated_result_reloads_to_the_same_bytes(
         rng_seed=graph_seed,
     ))
     config = CampaignConfig(
-        scheduler=scheduler, duration=duration, executions_per_tick=executions_per_tick,
-        rng_seed=rng_seed,
+        scheduler=scheduler, duration=duration, rng_seed=rng_seed,
         scheduler_config=SchedulerConfig(
             w_function=timeout, w_reach=timeout, w_trigger=timeout
         ),
@@ -504,23 +501,21 @@ def test_every_simulated_result_reloads_to_the_same_bytes(
 @given(
     graph_seed=st.integers(0, 2**32),
     policy=st.sampled_from(SCHEDULERS),
-    duration=st.integers(0, 150),
-    executions_per_tick=st.integers(1, 3),
+    duration=st.integers(0, 300),
     rng_seed=st.integers(0, 2**16),
     windows=st.tuples(*[st.integers(0, 25)] * 3),
     fraction=st.sampled_from([0.2, 0.5, 1.0]),
 )
 def test_campaign_matches_the_reference_campaign(
-    graph_seed, policy, duration, executions_per_tick, rng_seed, windows,
-    fraction,
+    graph_seed, policy, duration, rng_seed, windows, fraction,
 ):
     # Short windows walk the fishfuzz phases, and their carried cull state,
     # several times within the duration.
     g = graph_from_dict(random_graph_dict(random.Random(graph_seed), max_functions=20))
     assume(policy != "harmonic_directed" or g.targets())
     config = CampaignConfig(
-        scheduler=policy, duration=duration, executions_per_tick=executions_per_tick,
-        rng_seed=rng_seed, scheduler_config=SchedulerConfig(*windows),
+        scheduler=policy, duration=duration, rng_seed=rng_seed,
+        scheduler_config=SchedulerConfig(*windows),
     )
     # The oracle reads the fraction at each cull, so one patch serves both.
     with patch.object(scheduler, "EXPLOIT_FRACTION", fraction):
@@ -540,7 +535,6 @@ def test_unknown_scheduler_rejected():
 @pytest.mark.parametrize("name, value", [
     ("duration", True),
     ("duration", 5.0),
-    ("executions_per_tick", 1.5),
     ("rng_seed", True),
     ("rng_seed", 2.5),
 ])
