@@ -14,7 +14,7 @@ import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
-from .compare import compare_campaigns
+from .compare import compare_campaigns, summarize
 from .distance import (
     build_distance_map,
     harmonic_distance,
@@ -45,6 +45,11 @@ from .scheduler import SchedulerConfig
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_OUTPUT = 3
+
+# Upper bounds on simulate's campaign size, so that no command line asks for
+# unbounded work: a tick keeps a 32-byte series row and writes about 25 bytes.
+MAX_SEEDS = 10_000
+MAX_DURATION = 1_000_000
 
 
 def _err(message: str) -> None:
@@ -172,6 +177,10 @@ def cmd_simulate(args) -> None:
     # Every campaign is configured, and so validated, before anything is written.
     if args.seeds < 1:
         raise InputError("--seeds must be at least 1")
+    if args.seeds > MAX_SEEDS:
+        raise InputError(f"--seeds must be at most {MAX_SEEDS}")
+    if args.duration > MAX_DURATION:
+        raise InputError(f"--duration must be at most {MAX_DURATION}")
     if args.compare and len(schedulers) * args.seeds < 2:
         raise InputError("--compare needs at least two campaigns")
     try:
@@ -193,16 +202,16 @@ def cmd_simulate(args) -> None:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    results = []
+    summaries = []  # only --compare reads a campaign again, and only its summary
     for config in configs:
         result = run_campaign(graph, config)
         if args.compare:
-            results.append(result)
+            summaries.append(summarize(result))
         path = out_dir / f"result_{config.scheduler}_{config.rng_seed}.json"
         path.write_bytes(result.to_json_bytes())
 
     if args.compare:
-        report = compare_campaigns(results)
+        report = compare_campaigns(summaries)
         _write_csv(out_dir / "comparison.csv", report.csv_rows())
         print(report.text_table())
 

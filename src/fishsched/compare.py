@@ -96,6 +96,26 @@ PAIRWISE = ("coverage", "reached", "triggered")
 
 
 @dataclass(frozen=True)
+class CampaignSummary:
+    """What compare_campaigns reads of one campaign: a few hundred bytes,
+    where its result holds a series row per tick."""
+
+    scheduler: str
+    rng_seed: int
+    graph_hash: str
+    values: dict  # metric -> its value in this campaign, in METRICS order
+
+
+def summarize(result: CampaignResult) -> CampaignSummary:
+    return CampaignSummary(
+        scheduler=result.scheduler,
+        rng_seed=result.rng_seed,
+        graph_hash=result.graph_hash,
+        values={metric: value(result) for metric, value in METRICS.items()},
+    )
+
+
+@dataclass(frozen=True)
 class SchedulerAggregate:
     scheduler: str
     seeds: list
@@ -152,16 +172,20 @@ def _fmt(value: float) -> str:
     return format(value, ".10g")
 
 
-def compare_campaigns(results: list[CampaignResult]) -> ComparisonReport:
-    """Aggregate per scheduler and test pairwise differences across rng seeds."""
+def compare_campaigns(results: list) -> ComparisonReport:
+    """Aggregate per scheduler and test pairwise differences across rng seeds.
+
+    Each of results is a CampaignResult or its CampaignSummary.
+    """
     if len(results) < 2:
         raise ValueError("compare_campaigns requires at least two results")
     if len({r.graph_hash for r in results}) > 1:
         raise ValueError("mismatched graphs: results were produced on different graphs")
 
-    by_sched: dict[str, list[CampaignResult]] = {}
+    by_sched: dict[str, list[CampaignSummary]] = {}
     for r in results:
-        by_sched.setdefault(r.scheduler, []).append(r)
+        summary = r if isinstance(r, CampaignSummary) else summarize(r)
+        by_sched.setdefault(r.scheduler, []).append(summary)
 
     aggregates = {}
     for name, rs in by_sched.items():
@@ -169,7 +193,7 @@ def compare_campaigns(results: list[CampaignResult]) -> ComparisonReport:
         aggregates[name] = SchedulerAggregate(
             scheduler=name,
             seeds=[r.rng_seed for r in rs],
-            values={metric: [value(r) for r in rs] for metric, value in METRICS.items()},
+            values={metric: [r.values[metric] for r in rs] for metric in METRICS},
         )
 
     names = sorted(aggregates)

@@ -19,6 +19,11 @@ if TYPE_CHECKING:  # distance imports this module
 
 @dataclass(frozen=True)
 class ExecutionTrace:
+    """What one execution covered: function ids, edge ids (indexes into its
+    graph's edge_table, as execute_mutation records them), and target ids
+    reached and triggered. The culls only hash and order edges, so a
+    hand-built trace may name them any way it likes."""
+
     functions: frozenset = frozenset()
     edges: frozenset = frozenset()
     targets_reached: frozenset = frozenset()

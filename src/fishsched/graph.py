@@ -178,6 +178,47 @@ class ProgramGraph:
         """Function id -> sorted callees over direct and hidden indirect edges."""
         return _successors(self.functions, self.ground_truth)
 
+    # The edge index: a trace records each edge it covers as a dense int id.
+
+    @cached_property
+    def edge_table(self) -> tuple:
+        """Edge id -> edge, ascending: every ("call", caller, callee) over
+        ground_truth, then every ("cfg", fid, block, successor). Sorting ids
+        sorts the edges they name."""
+        return (*(("call", u, v) for u, v in sorted(self.ground_truth)), *_cfg_edges(self))
+
+    # The step tables execute_mutation walks. They number the edges as
+    # edge_table does without keeping it, so a campaign holds only these.
+
+    @cached_property
+    def block_steps(self) -> tuple:
+        """Function id -> {block id: (successors, their cfg edge ids)}."""
+        ids = {e: i for i, e in enumerate(_cfg_edges(self), len(self.ground_truth))}
+        return tuple(
+            {b.id: (b.successors, tuple(ids["cfg", f.id, b.id, s] for s in b.successors))
+             for b in f.blocks}
+            for f in self.functions
+        )
+
+    @cached_property
+    def call_steps(self) -> tuple:
+        """Function id -> ((callee, weight, call edge id), ...), callees as in
+        ground_truth_successors. The weight is call_weights' (None when no
+        call site is reachable), and 0 for a hidden indirect edge."""
+        ids = {e: i for i, e in enumerate(sorted(self.ground_truth))}
+        weights = self.call_weights
+        return tuple(
+            tuple((v, weights.get((u, v), 0), ids[u, v]) for v in vs)
+            for u, vs in self.ground_truth_successors.items()
+        )
+
+
+def _cfg_edges(graph: ProgramGraph) -> list:
+    """Every ("cfg", fid, block, successor) of the graph, ascending."""
+    return sorted(
+        ("cfg", f.id, b.id, s) for f in graph.functions for b in f.blocks for s in b.successors
+    )
+
 
 def _successors(functions: tuple[Function, ...], pairs) -> MappingProxyType:
     adj: dict[int, list[int]] = {f.id: [] for f in functions}

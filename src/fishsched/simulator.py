@@ -230,22 +230,20 @@ def _reached_from_entry(edges) -> set:
 # ---------------------------------------------------------------------------
 
 
-def _difficulty(graph: ProgramGraph, u: int, v: int) -> int:
-    """Conditional depth of crossing u->v; hidden indirect edges cost none."""
-    w = graph.call_weights.get((u, v), 0)
-    return UNREACHABLE_SITE_DIFFICULTY if w is None else w
-
-
 def execute_mutation(parent, graph: ProgramGraph, rng: random.Random) -> ExecutionTrace:
     """Derive a child trace from a parent seed (or from scratch when None).
 
     Retained parent functions seed a stochastic walk over ground-truth call
     edges; crossing an edge succeeds with probability
     FRONTIER_ADVANCE ** (1 + difficulty), so deeper conditional structure
-    decays the advance geometrically. Block-level paths inside traversed
-    functions decide reached targets and covered edges.
+    decays the advance geometrically. The difficulty is the call's pair
+    weight, UNREACHABLE_SITE_DIFFICULTY when no call site is reachable and
+    none for a hidden indirect edge. Block-level paths inside traversed
+    functions decide reached targets and covered edges; the trace names
+    each edge by its id in graph.edge_table.
     """
-    successors = graph.ground_truth_successors
+    successors, calls = graph.ground_truth_successors, graph.call_steps
+    functions, block_steps = graph.functions, graph.block_steps
     parent_funcs = sorted(parent.trace.functions) if parent is not None else []
     retained = {ENTRY_FUNCTION}
     retained.update(
@@ -258,30 +256,31 @@ def execute_mutation(parent, graph: ProgramGraph, rng: random.Random) -> Executi
     # The work list grows while it is walked, in FIFO order.
     work = sorted(funcs)
     for u in work:
-        for v in successors[u]:
+        for v, w, _ in calls[u]:
             if v in funcs:
                 continue
-            if rng.random() < FRONTIER_ADVANCE ** (1 + _difficulty(graph, u, v)):
+            difficulty = UNREACHABLE_SITE_DIFFICULTY if w is None else w
+            if rng.random() < FRONTIER_ADVANCE ** (1 + difficulty):
                 funcs.add(v)
                 work.append(v)
 
     edges: set = set()
     reached: set = set()
     for fid in sorted(funcs):
-        fn = graph.function(fid)
+        fn, steps = functions[fid], block_steps[fid]
         visited = {fn.entry}
         b = fn.entry
         for _ in range(2 * len(fn.blocks)):
-            succ = fn.block(b).successors
+            succ, ids = steps[b]
             if not succ:
                 break
-            nxt = succ[rng.randrange(len(succ))]
-            edges.add(("cfg", fid, b, nxt))
-            b = nxt
+            k = rng.randrange(len(succ))
+            edges.add(ids[k])
+            b = succ[k]
             visited.add(b)
         reached.update(t.id for t in fn.targets if t.block in visited)
 
-    edges.update(("call", u, v) for u in funcs for v in successors[u] if v in funcs)
+    edges.update(e for u in funcs for v, _, e in calls[u] if v in funcs)
 
     triggered = frozenset(
         tid for tid in sorted(reached)

@@ -12,14 +12,16 @@ import random
 import statistics
 from types import SimpleNamespace
 
-from fishsched import scheduler
+from fishsched import scheduler, simulator
 from fishsched.distance import HARMONIC_ZERO_EPSILON
-from fishsched.graph import canonical_json
+from fishsched.execution import ExecutionTrace
+from fishsched.graph import ENTRY_FUNCTION, bfs_hops, canonical_json
 from fishsched.simulator import (
     INITIAL_SEED_SIZE,
     execute_mutation,
     sample_exec_time,
     sample_size,
+    target_hardness,
 )
 
 INF = float("inf")
@@ -188,6 +190,73 @@ def random_graph_dict(
         block = rng.choice(live_blocks[u])
         functions[u]["blocks"][block]["calls"].append(v)
     return {"functions": functions}
+
+
+def _difficulty(graph, u: int, v: int) -> int:
+    """Conditional depth of crossing u->v; hidden indirect edges cost none."""
+    w = graph.call_weights.get((u, v), 0)
+    return simulator.UNREACHABLE_SITE_DIFFICULTY if w is None else w
+
+
+def oracle_execute_mutation(parent, graph, rng: random.Random) -> ExecutionTrace:
+    """execute_mutation as it was before traces carried edge ids.
+
+    Each covered edge is the tuple ("cfg", fid, block, successor) or
+    ("call", caller, callee), each block is looked up by its id and each
+    difficulty in call_weights, with the same rng draws in the same order.
+    The constants are read from the simulator at each call, so a test that
+    patches them patches this reference too.
+    """
+    successors = graph.ground_truth_successors
+    parent_funcs = sorted(parent.trace.functions) if parent is not None else []
+    retained = {ENTRY_FUNCTION}
+    retained.update(
+        f for f in parent_funcs
+        if f != ENTRY_FUNCTION and rng.random() < simulator.LOCALITY
+    )
+
+    # Keep only what execution can actually flow into from the entry.
+    funcs = set(bfs_hops(successors, [ENTRY_FUNCTION], allowed=retained))
+
+    # The work list grows while it is walked, in FIFO order.
+    work = sorted(funcs)
+    for u in work:
+        for v in successors[u]:
+            if v in funcs:
+                continue
+            if rng.random() < simulator.FRONTIER_ADVANCE ** (1 + _difficulty(graph, u, v)):
+                funcs.add(v)
+                work.append(v)
+
+    edges: set = set()
+    reached: set = set()
+    for fid in sorted(funcs):
+        fn = graph.function(fid)
+        blocks = {block.id: block for block in fn.blocks}
+        visited = {fn.entry}
+        b = fn.entry
+        for _ in range(2 * len(fn.blocks)):
+            succ = blocks[b].successors
+            if not succ:
+                break
+            nxt = succ[rng.randrange(len(succ))]
+            edges.add(("cfg", fid, b, nxt))
+            b = nxt
+            visited.add(b)
+        reached.update(t.id for t in fn.targets if t.block in visited)
+
+    edges.update(("call", u, v) for u in funcs for v in successors[u] if v in funcs)
+
+    triggered = frozenset(
+        tid for tid in sorted(reached)
+        if rng.random() < simulator.TRIGGER_PROBABILITY * target_hardness(tid)
+    )
+    return ExecutionTrace(
+        functions=frozenset(funcs),
+        edges=frozenset(edges),
+        targets_reached=frozenset(reached),
+        targets_triggered=triggered,
+    )
 
 
 def all_path_conditional_cost(function, src: int, dst: int, limit: int = 12):

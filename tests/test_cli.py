@@ -1,6 +1,7 @@
 import csv
 import json
 import tempfile
+import tracemalloc
 import weakref
 from dataclasses import fields
 from pathlib import Path
@@ -232,6 +233,26 @@ def test_simulate_without_compare_keeps_no_written_result(
     )
     assert code == 0 and stderr == ""
     assert len(written) == 4
+
+
+def test_simulate_compare_peak_does_not_grow_with_seeds(tmp_path, capsys, small_graph_file):
+    # --compare keeps only each campaign's summary. Keeping its result would
+    # hold a 32-byte series row per tick, so 6 more campaigns of 1000 ticks
+    # would raise the peak by several times one campaign's 32,000 bytes.
+    def traced_peak(seeds, duration=1000):
+        tracemalloc.start()
+        code, _stdout, stderr = run_cli(
+            capsys, "simulate", "--graph", small_graph_file,
+            "--compare", "round_robin,afl_favor", "--duration", str(duration),
+            "--seeds", str(seeds), "--out", str(tmp_path / f"out{seeds}_{duration}"),
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert code == 0 and stderr == ""
+        return peak
+
+    traced_peak(1, duration=50)  # what any first run allocates once
+    assert traced_peak(4) - traced_peak(1) < 1000 * 32
 
 
 def test_simulate_rerun_is_byte_identical(tmp_path, capsys, small_graph_file):
@@ -503,6 +524,20 @@ BAD_INPUTS = {
         f"unrecognized arguments: {' '.join(flag)}",
     ) for flag in (("--exploit-fraction", "0.5"), ("--exploit-include-triggered",),
                    ("--executions-per-tick", "2"))},
+    # A campaign's size is bounded like a spec's: a huge count is refused, not
+    # run. The NaN timeout is rejected while the campaigns are configured, so
+    # the bound's message shows it is checked before that, and no campaign
+    # runs if the bound is ever missed.
+    "oversized --seeds": (
+        lambda tmp, g: ["simulate", "--graph", g, "--compare", "fishfuzz,afl_favor",
+                        "--seeds", str(cli.MAX_SEEDS + 1), "--w-reach", "nan"],
+        f"--seeds must be at most {cli.MAX_SEEDS}",
+    ),
+    "oversized --duration": (
+        lambda tmp, g: ["simulate", "--graph", g, "--duration", str(cli.MAX_DURATION + 1),
+                        "--w-reach", "nan"],
+        f"--duration must be at most {cli.MAX_DURATION}",
+    ),
     "compare with zero seeds": (
         lambda tmp, g: ["simulate", "--graph", g, "--compare", "fishfuzz,afl_favor",
                         "--seeds", "0"],

@@ -25,7 +25,7 @@ from fishsched.simulator import (
     target_hardness,
 )
 from conftest import linear_block
-from oracles import oracle_campaign, random_graph_dict
+from oracles import oracle_campaign, oracle_execute_mutation, random_graph_dict
 
 
 def weight0_chain(n):
@@ -267,11 +267,113 @@ def test_traces_stay_inside_ground_truth():
         assert seen == set(trace.functions)
         # covered call edges all exist in the ground truth
         for e in trace.edges:
-            if e[0] == "call":
-                assert (e[1], e[2]) in gt
+            edge = g.edge_table[e]
+            if edge[0] == "call":
+                assert (edge[1], edge[2]) in gt
         # reached targets live in traversed functions
         for tid in trace.targets_reached:
             assert g.target(tid).function in trace.functions
+
+
+def assert_mutations_match_the_reference(g, rng_seed, advance, steps=25):
+    # The edge index: ascending, so its ids sort as its edges do, and exactly
+    # the call edges over ground_truth and the cfg edges of every block.
+    table = g.edge_table
+    assert all(a < b for a, b in zip(table, table[1:]))
+    assert set(table) == {("call", u, v) for u, v in g.ground_truth} | {
+        ("cfg", f.id, b.id, s) for f in g.functions for b in f.blocks for s in b.successors
+    }
+    ids = {e: i for i, e in enumerate(table)}
+    pick = random.Random(rng_seed)
+    new_rng, old_rng = random.Random(rng_seed), random.Random(rng_seed)
+    new_traces, old_traces = [None], [None]
+    with patch.object(simulator, "FRONTIER_ADVANCE", advance):
+        for _ in range(steps):
+            k = pick.randrange(len(new_traces))
+            new_parent, old_parent = new_traces[k], old_traces[k]
+            new = execute_mutation(new_parent and seed_of(new_parent), g, new_rng)
+            old = oracle_execute_mutation(old_parent and seed_of(old_parent), g, old_rng)
+            assert {table[e] for e in new.edges} == old.edges
+            assert {ids[e] for e in old.edges} == new.edges
+            assert new.functions == old.functions
+            assert new.targets_reached == old.targets_reached
+            assert new.targets_triggered == old.targets_triggered
+            assert new_rng.getstate() == old_rng.getstate()
+            new_traces.append(new)
+            old_traces.append(old)
+
+
+def with_rare_edges(data, rng):
+    """data with sparse, unsorted block ids, a dead call site and hidden calls.
+
+    Each function's blocks are renamed onto a shuffled range with gaps, kept
+    in file order; function 0 gains an unreachable block calling a function it
+    calls nowhere else (a pair weight of None); and up to three pairs that are
+    not direct calls become indirect edges.
+    """
+    functions = data["functions"]
+    for fn in functions:
+        names = [7 * k + 3 for k in range(len(fn["blocks"]))]
+        rng.shuffle(names)
+        fn["entry"] = names[fn["entry"]]
+        for b in fn["blocks"]:
+            b["id"] = names[b["id"]]
+            b["succ"] = [names[x] for x in b["succ"]]
+        for t in fn["targets"]:
+            t["block"] = names[t["block"]]
+    direct = {(fn["id"], c) for fn in functions for b in fn["blocks"] for c in b["calls"]}
+    others = [v for v in range(1, len(functions)) if (0, v) not in direct]
+    if others:
+        dead = {"id": 1, "succ": [functions[0]["entry"]], "calls": [others[0]]}
+        functions[0]["blocks"].append(dead)
+        direct.add((0, others[0]))
+    hidden = {}
+    for _ in range(3):
+        u, v = rng.randrange(len(functions)), rng.randrange(len(functions))
+        if u != v and (u, v) not in direct:
+            block = rng.choice(functions[u]["blocks"])["id"]
+            hidden[u, v] = {"from_fn": u, "from_block": block, "to_fn": v}
+    data["indirect_edges"] = list(hidden.values())
+    return data
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    graph_seed=st.integers(0, 2**32),
+    rare=st.booleans(),
+    rng_seed=st.integers(0, 2**16),
+    advance=st.sampled_from([0.25, 0.6, 1.0]),
+)
+def test_mutation_matches_the_tuple_reference_on_random_graphs(
+    graph_seed, rare, rng_seed, advance
+):
+    rng = random.Random(graph_seed)
+    data = random_graph_dict(rng, max_functions=20)
+    g = graph_from_dict(with_rare_edges(data, rng) if rare else data)
+    assert_mutations_match_the_reference(g, rng_seed, advance)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n_functions=st.integers(1, 30),
+    branch_probability=st.floats(0, 1),
+    indirect_edge_fraction=st.floats(0, 1),
+    graph_seed=st.integers(0, 2**16),
+    rng_seed=st.integers(0, 2**16),
+    advance=st.sampled_from([0.25, 0.6, 1.0]),
+)
+def test_mutation_matches_the_tuple_reference_on_generated_graphs(
+    n_functions, branch_probability, indirect_edge_fraction, graph_seed, rng_seed,
+    advance,
+):
+    g = generate_program(SyntheticProgramSpec(
+        n_functions=n_functions,
+        branch_probability=branch_probability,
+        call_density=min(1.5, n_functions - 1),
+        indirect_edge_fraction=indirect_edge_fraction,
+        rng_seed=graph_seed,
+    ))
+    assert_mutations_match_the_reference(g, rng_seed, advance)
 
 
 def test_closer_is_likelier_calibration():
