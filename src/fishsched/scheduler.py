@@ -12,8 +12,9 @@ Every cull takes its distance function and its fold state from its
 caller. The coverage, exploitation and harmonic culls keep their per-key
 best seed in a BestSeeds state that folds in only the seeds queued since
 the last call, the way AFL updates top_rated once per admitted seed. The
-closest-seed scan by dsf is _closest, shared by the inter-function cull
-and the exploitation fallback.
+inter-function cull keeps its closest seed per function the same way;
+_fold_closest is that fold and holds the tie rule, and _closest, the
+one-function form over the whole queue, serves the exploitation fallback.
 """
 
 from __future__ import annotations
@@ -98,27 +99,59 @@ def _favor_only(queue: list[Seed], ids) -> None:
 class BestSeeds:
     """Per-key best seed over an append-only queue, folded incrementally.
 
-    best maps a key to (rank, seed); seen counts the queue entries already
-    folded. A queued seed never changes and every rank ends in the seed id,
-    so the minimum does not depend on the order seeds are folded in.
+    best maps a key to (rank, seed), or, under _fold_closest, to the rank
+    alone; seen counts the queue entries already folded. A queued seed
+    never changes and every rank ends in the seed id, so the minimum does
+    not depend on the order seeds are folded in.
     """
 
     best: dict = field(default_factory=dict)
     seen: int = 0
 
-    def fold(self, queue: list[Seed], keys, rank) -> dict:
-        """Fold the seeds queued since the last call; returns best."""
+    def unfolded(self, queue: list[Seed]) -> list[Seed]:
+        """The seeds queued since the last call, which now count as folded."""
         if len(queue) < self.seen:
             raise ValueError("BestSeeds needs an append-only queue")
+        new = queue[self.seen:]
+        self.seen = len(queue)
+        return new
+
+    def fold(self, queue: list[Seed], keys, rank) -> dict:
+        """Fold the seeds queued since the last call; returns best."""
         best = self.best
-        for s in queue[self.seen:]:
+        for s in self.unfolded(queue):
             r = rank(s)
             for k in keys(s):
                 cur = best.get(k)
                 if cur is None or r < cur[0]:
                     best[k] = (r, s)
-        self.seen = len(queue)
         return best
+
+
+def _fold_closest(
+    state: BestSeeds,
+    queue: list[Seed],
+    fids,
+    dsf_fn: Callable[[Seed, int], Optional[int]],
+) -> dict:
+    """Fold the seeds queued since the last call into state.best[fid] for each
+    fid in fids; returns best.
+
+    best[fid] is (dsf_fn(seed, fid), exec_time, id) of the nearest seed:
+    ties on distance go to the faster, then the older seed. A seed with no
+    finite distance to fid does not compete for it.
+    """
+    best = state.best
+    for s in state.unfolded(queue):
+        for fid in fids:
+            d = dsf_fn(s, fid)
+            if d is None:
+                continue
+            key = (d, s.exec_time, s.id)
+            cur = best.get(fid)
+            if cur is None or key < cur:
+                best[fid] = key
+    return best
 
 
 def _closest(
@@ -126,30 +159,30 @@ def _closest(
 ) -> Optional[int]:
     """The id of the seed nearest function fid by dsf_fn(seed, fid).
 
-    Ties on distance go to the faster, then the older seed. None when no
-    seed has a finite distance.
+    The one-function form of _fold_closest over the whole queue, for the
+    exploitation fallback. None when no seed has a finite distance.
     """
-    best = None
-    for s in queue:
-        d = dsf_fn(s, fid)
-        if d is None:
-            continue
-        key = (d, s.exec_time, s.id)
-        if best is None or key < best:
-            best = key
-    return None if best is None else best[2]
+    best = _fold_closest(BestSeeds(), queue, (fid,), dsf_fn)
+    return best[fid][2] if best else None
 
 
 def inter_function_cull(
     queue: list[Seed],
     fstate: FunctionExplorationState,
+    state: BestSeeds,
     dsf_fn: Callable[[Seed, int], Optional[int]],
 ) -> None:
-    """Favor the closest seed (_closest) for each unexplored target function."""
-    closest = set()
-    for fid in fstate.unexplored_target_functions():
-        closest.add(_closest(queue, fid, dsf_fn))
-    _favor_only(queue, closest)
+    """Favor the closest seed to each unexplored target function.
+
+    state carries the closest seed per function across calls on one
+    growing queue, so dsf_fn runs once per newly queued seed and unexplored
+    target function; a fresh BestSeeds() folds the whole queue. Explored
+    functions only grow, so each function unexplored now was unexplored
+    when every earlier seed was folded, and the pick equals a _closest scan.
+    """
+    unexplored = fstate.unexplored_target_functions()
+    best = _fold_closest(state, queue, unexplored, dsf_fn)
+    _favor_only(queue, {best[f][2] for f in unexplored if f in best})
 
 
 def serviced_targets(ranking: TargetRanking) -> list[int]:

@@ -554,16 +554,29 @@ def run_campaign_with_queue(graph: ProgramGraph, config: CampaignConfig):
             ))
         return summary, admitted
 
-    dsf_cache: dict = {}
+    # dsf depends only on the functions a seed traverses, so seeds with
+    # equal sets share one row: traversed-function set -> dsf by function
+    # id, NO_PATH for None and UNASKED before the first lookup. An int array
+    # row is a fraction of a dict's size; a distance never exceeds the
+    # graph's block count, so 32 bits hold it.
+    dsf_memo: dict = {}
+    UNASKED, NO_PATH = -2, -1
+    n_functions = len(graph.functions)
 
     def cached_dsf(seed: Seed, fid: int):
-        key = (seed.id, fid)
-        if key not in dsf_cache:
-            dsf_cache[key] = dsf(seed, fid, dmap)
-        return dsf_cache[key]
+        row = dsf_memo.get(seed.trace.functions)
+        if row is None:
+            row = dsf_memo[seed.trace.functions] = array("i", [UNASKED]) * n_functions
+        d = row[fid]
+        if d == UNASKED:
+            d = dsf(seed, fid, dmap)
+            row[fid] = NO_PATH if d is None else d
+            return d
+        return None if d == NO_PATH else d
 
-    # Best seed per covered edge, per reached target and over the whole
-    # queue, grown with the queue.
+    # Closest seed per unexplored target function, best seed per covered
+    # edge, per reached target and over the whole queue, grown with the queue.
+    inter_state = BestSeeds()
     intra_state = BestSeeds()
     exploit_state = BestSeeds()
     harmonic_state = BestSeeds()
@@ -571,7 +584,7 @@ def run_campaign_with_queue(graph: ProgramGraph, config: CampaignConfig):
     def cull() -> None:
         if policy == "fishfuzz":
             if phase is Phase.INTER_EXPLORE:
-                inter_function_cull(queue, fstate, dsf_fn=cached_dsf)
+                inter_function_cull(queue, fstate, inter_state, dsf_fn=cached_dsf)
             elif phase is Phase.INTRA_EXPLORE:
                 intra_function_cull(queue, intra_state)
             else:

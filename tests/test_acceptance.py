@@ -211,7 +211,7 @@ def test_cull_fidelity_exhaustive_scan():
         graph, dmap, queue, fstate, ranking = _random_cull_state(rng)
         states += 1
 
-        inter_function_cull(queue, fstate, partial(dsf, dmap=dmap))
+        inter_function_cull(queue, fstate, BestSeeds(), partial(dsf, dmap=dmap))
         expected = set()
         for fid in sorted(fstate.has_targets - fstate.explored):
             best = None

@@ -1,6 +1,6 @@
 """Culls that carry BestSeeds state across calls favor exactly what a fresh
 state favors, at every step of a queue that grows one seed at a
-time while the target ranking moves underneath it.
+time while the target ranking and the explored functions move underneath it.
 """
 
 from functools import partial
@@ -15,8 +15,11 @@ from fishsched.execution import ExecutionTrace, Seed, dsf
 from fishsched.ranking import TargetRanking
 from fishsched.scheduler import (
     BestSeeds,
+    FunctionExplorationState,
+    _closest,
     exploitation_cull,
     harmonic_cull,
+    inter_function_cull,
     intra_function_cull,
 )
 from fishsched.simulator import SyntheticProgramSpec, generate_program
@@ -49,7 +52,8 @@ def traces(draw):
 
 # One growth step: the seed to queue (few distinct times and sizes, so rank
 # ties fall through to the seed id) and executions that only move the
-# ranking, which can make a target serviced that no queued seed reaches.
+# ranking and the explored functions, which can make a target serviced that
+# no queued seed reaches.
 steps = st.tuples(
     traces(), st.integers(1, 3), st.integers(1, 3), st.lists(traces(), max_size=2)
 )
@@ -60,19 +64,44 @@ def _favored(queue) -> list:
 
 
 def check_growth(steps) -> int:
-    """Grow a queue step by step, checking the three culls after every append.
+    """Grow a queue step by step, checking the four culls after every append.
 
     Returns how many exploitation culls had to fall back to the dsf scan.
     """
     queue: list = []
     ranking = TargetRanking(GRAPH)
-    intra_state, exploit_state, harmonic_state = BestSeeds(), BestSeeds(), BestSeeds()
+    fstate = FunctionExplorationState(GRAPH)
+    inter_state, intra_state = BestSeeds(), BestSeeds()
+    exploit_state, harmonic_state = BestSeeds(), BestSeeds()
     fallbacks = 0
     for sid, (trace, exec_time, size, ranking_only) in enumerate(steps):
-        ranking.record_execution(trace, sid)
-        for other in ranking_only:
-            ranking.record_execution(other, sid)
+        for t in (trace, *ranking_only):
+            ranking.record_execution(t, sid)
+            fstate.observe(t)
         queue.append(Seed(id=sid, exec_time=exec_time, size=size, trace=trace))
+
+        unexplored = fstate.unexplored_target_functions()
+        looked_up = []
+
+        def counted_dsf(seed, fid):
+            looked_up.append((seed.id, fid))
+            return dsf(seed, fid, DMAP)
+
+        inter_function_cull(queue, fstate, inter_state, counted_dsf)
+        carried = _favored(queue)
+        # Only the seed just queued is measured, once per unexplored function.
+        assert looked_up == [(sid, fid) for fid in unexplored]
+        inter_function_cull(queue, fstate, BestSeeds(), partial(dsf, dmap=DMAP))
+        assert carried == _favored(queue)
+        closest = set()
+        for fid in unexplored:
+            near = [(d, s.exec_time, s.id) for s in queue
+                    if (d := dsf(s, fid, DMAP)) is not None]
+            if near:
+                closest.add(min(near)[2])
+        assert carried == sorted(closest)
+        scanned = {_closest(queue, fid, partial(dsf, dmap=DMAP)) for fid in unexplored}
+        assert closest == scanned - {None}
 
         intra_function_cull(queue, intra_state)
         carried = _favored(queue)

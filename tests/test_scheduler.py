@@ -69,7 +69,7 @@ def test_inter_cull_no_unexplored_functions_favors_nobody():
     queue = [seed_with(1, {0}), seed_with(2, {0, 1})]
     for s in queue:
         s.favor = True  # stale flags must be wiped
-    inter_function_cull(queue, fstate, partial(dsf, dmap=dmap))
+    inter_function_cull(queue, fstate, BestSeeds(), partial(dsf, dmap=dmap))
     assert all(not s.favor for s in queue)
 
 
@@ -96,10 +96,10 @@ def test_inter_cull_picks_argmin_distance():
     dmap = build_distance_map(g)
     fstate = FunctionExplorationState(g)
     fstate.observe(ExecutionTrace(functions=frozenset({0})))
-    near = seed_with(1, {0, 1})   # dsf to fn2 = 0? no: fn2 not traversed, dff(1,2)=0
-    far = seed_with(2, {0})
+    near = seed_with(1, {0, 1})  # dsf to fn2 is dff(1,2) = 0: fn1 calls it at entry
+    far = seed_with(2, {0})  # dsf to fn2 is dff(0,2) = 1
     queue = [far, near]
-    inter_function_cull(queue, fstate, partial(dsf, dmap=dmap))
+    inter_function_cull(queue, fstate, BestSeeds(), partial(dsf, dmap=dmap))
     assert near.favor and not far.favor
 
 
@@ -110,12 +110,12 @@ def test_inter_cull_tie_breaks_on_exec_time_then_id():
     fstate.observe(ExecutionTrace(functions=frozenset({0})))
     slow = seed_with(1, {0}, exec_time=900)
     fast = seed_with(2, {0}, exec_time=400)
-    inter_function_cull([slow, fast], fstate, partial(dsf, dmap=dmap))
+    inter_function_cull([slow, fast], fstate, BestSeeds(), partial(dsf, dmap=dmap))
     assert fast.favor and not slow.favor
 
     a = seed_with(1, {0}, exec_time=400)
     b = seed_with(2, {0}, exec_time=400)
-    inter_function_cull([b, a], fstate, partial(dsf, dmap=dmap))
+    inter_function_cull([b, a], fstate, BestSeeds(), partial(dsf, dmap=dmap))
     assert a.favor and not b.favor
 
 
@@ -144,7 +144,7 @@ def test_inter_cull_one_seed_can_serve_many_functions():
     ahead = seed_with(1, {0, 1})
     behind = seed_with(2, {0})
     queue = [behind, ahead]
-    inter_function_cull(queue, fstate, partial(dsf, dmap=dmap))
+    inter_function_cull(queue, fstate, BestSeeds(), partial(dsf, dmap=dmap))
     assert ahead.favor and not behind.favor
     assert sum(s.favor for s in queue) == 1
 
@@ -165,7 +165,7 @@ def test_inter_cull_unreachable_function_marks_nobody():
     fstate = FunctionExplorationState(g)
     fstate.observe(ExecutionTrace(functions=frozenset({0})))
     queue = [seed_with(1, {0})]
-    inter_function_cull(queue, fstate, partial(dsf, dmap=dmap))
+    inter_function_cull(queue, fstate, BestSeeds(), partial(dsf, dmap=dmap))
     assert not queue[0].favor
 
 
