@@ -113,6 +113,11 @@ class ProgramGraph:
     def targets(self) -> list[Target]:
         return list(self._target_map.values())
 
+    def __getstate__(self) -> dict:
+        # Pickle the two fields alone: derived data is rebuilt on first use,
+        # and its read-only views (MappingProxyType) do not pickle.
+        return {"functions": self.functions, "indirect_edges": self.indirect_edges}
+
     # Derived data: built on first use, so loading a graph pays nothing for
     # it, and read-only, because every caller shares the one copy.
 

@@ -9,12 +9,12 @@ picks: its last step hands the ids it favors to _favor_only, the one
 writer of Seed.favor, so favors never leak across phases.
 
 Every cull takes its distance function and its fold state from its
-caller. The coverage, exploitation and harmonic culls keep their per-key
-best seed in a BestSeeds state that folds in only the seeds queued since
-the last call, the way AFL updates top_rated once per admitted seed. The
-inter-function cull keeps its closest seed per function the same way;
-_fold_closest is that fold and holds the tie rule, and _closest, the
-one-function form over the whole queue, serves the exploitation fallback.
+caller, and keeps its per-key best seed in a BestSeeds state: one fold,
+over the seeds queued since the last call, the way AFL updates top_rated
+once per admitted seed. Every entry is (rank, seed). The two distance
+culls rank seeds with _nearest, which holds the distance tie rule;
+_closest, its one-function fold over the whole queue, serves the
+exploitation fallback.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import enum
 import math
 import random
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable, Optional
 
 from .execution import Seed
@@ -99,59 +100,43 @@ def _favor_only(queue: list[Seed], ids) -> None:
 class BestSeeds:
     """Per-key best seed over an append-only queue, folded incrementally.
 
-    best maps a key to (rank, seed), or, under _fold_closest, to the rank
-    alone; seen counts the queue entries already folded. A queued seed
-    never changes and every rank ends in the seed id, so the minimum does
-    not depend on the order seeds are folded in.
+    best maps a key to (rank, seed); seen counts the queue entries already
+    folded. A queued seed never changes and every rank ends in the seed id,
+    so the minimum does not depend on the order seeds are folded in.
     """
 
     best: dict = field(default_factory=dict)
     seen: int = 0
 
-    def unfolded(self, queue: list[Seed]) -> list[Seed]:
-        """The seeds queued since the last call, which now count as folded."""
+    def fold(self, queue: list[Seed], ranks) -> dict:
+        """Fold the seeds queued since the last call, each under the
+        (key, rank) pairs ranks(seed) yields; returns best."""
         if len(queue) < self.seen:
             raise ValueError("BestSeeds needs an append-only queue")
-        new = queue[self.seen:]
-        self.seen = len(queue)
-        return new
-
-    def fold(self, queue: list[Seed], keys, rank) -> dict:
-        """Fold the seeds queued since the last call; returns best."""
         best = self.best
-        for s in self.unfolded(queue):
-            r = rank(s)
-            for k in keys(s):
+        for s in queue[self.seen:]:
+            for k, r in ranks(s):
                 cur = best.get(k)
                 if cur is None or r < cur[0]:
                     best[k] = (r, s)
+        self.seen = len(queue)
         return best
 
 
-def _fold_closest(
-    state: BestSeeds,
-    queue: list[Seed],
-    fids,
-    dsf_fn: Callable[[Seed, int], Optional[int]],
-) -> dict:
-    """Fold the seeds queued since the last call into state.best[fid] for each
-    fid in fids; returns best.
+def _nearest(fids, dsf_fn: Callable[[Seed, int], Optional[int]]):
+    """Ranks for the distance culls: (fid, (dsf_fn(seed, fid), exec_time, id))
+    for each fid in fids the seed has a finite distance to, in fids order.
 
-    best[fid] is (dsf_fn(seed, fid), exec_time, id) of the nearest seed:
-    ties on distance go to the faster, then the older seed. A seed with no
-    finite distance to fid does not compete for it.
+    Ties on distance go to the faster, then the older seed.
     """
-    best = state.best
-    for s in state.unfolded(queue):
+
+    def ranks(s: Seed):
         for fid in fids:
             d = dsf_fn(s, fid)
-            if d is None:
-                continue
-            key = (d, s.exec_time, s.id)
-            cur = best.get(fid)
-            if cur is None or key < cur:
-                best[fid] = key
-    return best
+            if d is not None:
+                yield fid, (d, s.exec_time, s.id)
+
+    return ranks
 
 
 def _closest(
@@ -159,11 +144,11 @@ def _closest(
 ) -> Optional[int]:
     """The id of the seed nearest function fid by dsf_fn(seed, fid).
 
-    The one-function form of _fold_closest over the whole queue, for the
+    The one-function fold of _nearest over the whole queue, for the
     exploitation fallback. None when no seed has a finite distance.
     """
-    best = _fold_closest(BestSeeds(), queue, (fid,), dsf_fn)
-    return best[fid][2] if best else None
+    best = BestSeeds().fold(queue, _nearest((fid,), dsf_fn))
+    return best[fid][1].id if best else None
 
 
 def inter_function_cull(
@@ -181,8 +166,8 @@ def inter_function_cull(
     when every earlier seed was folded, and the pick equals a _closest scan.
     """
     unexplored = fstate.unexplored_target_functions()
-    best = _fold_closest(state, queue, unexplored, dsf_fn)
-    _favor_only(queue, {best[f][2] for f in unexplored if f in best})
+    best = state.fold(queue, _nearest(unexplored, dsf_fn))
+    _favor_only(queue, {best[f][1].id for f in unexplored if f in best})
 
 
 def serviced_targets(ranking: TargetRanking) -> list[int]:
@@ -211,7 +196,7 @@ def exploitation_cull(
     growing queue.
     """
     reaching = state.fold(
-        queue, lambda s: s.trace.targets_reached, lambda s: (s.exec_time, s.id)
+        queue, lambda s: zip(s.trace.targets_reached, repeat((s.exec_time, s.id)))
     )
     serviced = serviced_targets(ranking)
     favored = set()
@@ -235,7 +220,7 @@ def harmonic_cull(
     runs once per seed; a fresh BestSeeds() folds the whole queue.
     """
     nearest = state.fold(
-        queue, lambda s: (None,), lambda s: (distance_fn(s), s.exec_time, s.id)
+        queue, lambda s: ((None, (distance_fn(s), s.exec_time, s.id)),)
     )
     _favor_only(queue, {nearest[None][1].id} if nearest else set())
 
@@ -248,7 +233,7 @@ def intra_function_cull(queue: list[Seed], state: BestSeeds) -> None:
     carried across calls on one growing queue.
     """
     top_rated = state.fold(
-        queue, lambda s: s.trace.edges, lambda s: (s.exec_time * s.size, s.id)
+        queue, lambda s: zip(s.trace.edges, repeat((s.exec_time * s.size, s.id)))
     )
     claimed: set = set()
     winners = set()

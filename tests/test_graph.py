@@ -1,6 +1,7 @@
 import copy
 import itertools
 import json
+import pickle
 import random
 import re
 
@@ -20,6 +21,7 @@ from fishsched.graph import (
     save_program,
     shortest_paths,
 )
+from fishsched.simulator import run_campaign, standard_config, standard_graph
 from conftest import linear_block, make_graph
 from oracles import all_path_conditional_cost, oracle_dbb, random_graph_dict
 
@@ -413,6 +415,16 @@ def test_round_trip_identity(tmp_path, fig2_graph):
         g2 = load_program(str(path))
         assert g2 == g
         assert graph_hash(g2) == graph_hash(g)
+
+
+def test_a_graph_pickles_after_a_campaign_has_used_it():
+    g = standard_graph()
+    config = standard_config("fishfuzz", 1, duration=50)
+    first = run_campaign(g, config).to_json_bytes()
+    g2 = pickle.loads(pickle.dumps(g))
+    assert g2 == g
+    assert "call_adjacency" in vars(g) and "call_adjacency" not in vars(g2)
+    assert run_campaign(g2, config).to_json_bytes() == first
 
 
 def test_shortest_paths_matches_networkx_dijkstra():

@@ -6,6 +6,7 @@ time while the target ranking and the explored functions move underneath it.
 from functools import partial
 from unittest.mock import patch
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -165,3 +166,13 @@ def test_serviced_target_without_a_reaching_seed_uses_the_dsf_scan():
     )
     steps = [(entry_only, 2, 1, [reaches_far]), (entry_only, 1, 2, [])]
     assert check_growth(steps) == 2
+
+
+def test_fold_rejects_a_queue_shorter_than_seen_and_keeps_its_state():
+    queue = [Seed(id=i, exec_time=1, size=1, trace=ExecutionTrace()) for i in range(3)]
+    state = BestSeeds()
+    best = state.fold(queue, lambda s: ((None, (s.id,)),))
+    before = dict(best)
+    with pytest.raises(ValueError, match="^BestSeeds needs an append-only queue$"):
+        state.fold(queue[:2], lambda s: ((None, (-1,)),))
+    assert state.best == before and state.seen == 3
