@@ -8,13 +8,11 @@ cull and harmonic_directed only harmonic_cull. Each cull folds, then
 picks: its last step hands the ids it favors to _favor_only, the one
 writer of Seed.favor, so favors never leak across phases.
 
-Every cull takes its distance function and its fold state from its
+Each cull takes its fold state, and any distance function, from its
 caller, and keeps its per-key best seed in a BestSeeds state: one fold,
 over the seeds queued since the last call, the way AFL updates top_rated
-once per admitted seed. Every entry is (rank, seed). The two distance
-culls rank seeds with _nearest, which holds the distance tie rule;
-_closest, its one-function fold over the whole queue, serves the
-exploitation fallback.
+once per admitted seed. Every entry is (rank, seed); _nearest holds the
+inter-function cull's distance tie rule.
 """
 
 from __future__ import annotations
@@ -124,7 +122,7 @@ class BestSeeds:
 
 
 def _nearest(fids, dsf_fn: Callable[[Seed, int], Optional[int]]):
-    """Ranks for the distance culls: (fid, (dsf_fn(seed, fid), exec_time, id))
+    """The inter-function cull's ranks: (fid, (dsf_fn(seed, fid), exec_time, id))
     for each fid in fids the seed has a finite distance to, in fids order.
 
     Ties on distance go to the faster, then the older seed.
@@ -139,18 +137,6 @@ def _nearest(fids, dsf_fn: Callable[[Seed, int], Optional[int]]):
     return ranks
 
 
-def _closest(
-    queue: list[Seed], fid: int, dsf_fn: Callable[[Seed, int], Optional[int]]
-) -> Optional[int]:
-    """The id of the seed nearest function fid by dsf_fn(seed, fid).
-
-    The one-function fold of _nearest over the whole queue, for the
-    exploitation fallback. None when no seed has a finite distance.
-    """
-    best = BestSeeds().fold(queue, _nearest((fid,), dsf_fn))
-    return best[fid][1].id if best else None
-
-
 def inter_function_cull(
     queue: list[Seed],
     fstate: FunctionExplorationState,
@@ -163,7 +149,7 @@ def inter_function_cull(
     growing queue, so dsf_fn runs once per newly queued seed and unexplored
     target function; a fresh BestSeeds() folds the whole queue. Explored
     functions only grow, so each function unexplored now was unexplored
-    when every earlier seed was folded, and the pick equals a _closest scan.
+    when every earlier seed was folded, and the pick equals a whole-queue fold.
     """
     unexplored = fstate.unexplored_target_functions()
     best = state.fold(queue, _nearest(unexplored, dsf_fn))
@@ -181,33 +167,24 @@ def serviced_targets(ranking: TargetRanking) -> list[int]:
 
 
 def exploitation_cull(
-    queue: list[Seed],
-    ranking: TargetRanking,
-    graph: ProgramGraph,
-    state: BestSeeds,
-    dsf_fn: Callable[[Seed, int], Optional[int]],
+    queue: list[Seed], ranking: TargetRanking, state: BestSeeds
 ) -> list[int]:
     """Favor the fastest seed for each of the least-hit reached targets.
 
-    A serviced target (see serviced_targets) favors the fastest seed whose
-    trace reached it; if no queued seed reaches it, the minimum-distance
-    seed is favored so the pass stays total. Returns the serviced targets.
+    Each serviced target (see serviced_targets) favors the fastest queued
+    seed whose trace reached it. A campaign queues the first execution to
+    reach a target, so one exists; if not, ValueError, and no favor changes.
     state carries the fastest reaching seed per target across calls on one
-    growing queue.
+    growing queue. Returns the serviced targets.
     """
     reaching = state.fold(
         queue, lambda s: zip(s.trace.targets_reached, repeat((s.exec_time, s.id)))
     )
     serviced = serviced_targets(ranking)
-    favored = set()
     for tid in serviced:
-        hit = reaching.get(tid)
-        if hit is not None:
-            favored.add(hit[1].id)
-            continue
-        # No queued seed reaches tid, so every seed competes on distance.
-        favored.add(_closest(queue, graph.target(tid).function, dsf_fn))
-    _favor_only(queue, favored)
+        if tid not in reaching:
+            raise ValueError(f"no queued seed reaches serviced target {tid}")
+    _favor_only(queue, {reaching[tid][1].id for tid in serviced})
     return serviced
 
 

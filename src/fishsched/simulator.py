@@ -588,7 +588,7 @@ def run_campaign_with_queue(graph: ProgramGraph, config: CampaignConfig):
             elif phase is Phase.INTRA_EXPLORE:
                 intra_function_cull(queue, intra_state)
             else:
-                exploitation_cull(queue, ranking, graph, exploit_state, dsf_fn=cached_dsf)
+                exploitation_cull(queue, ranking, exploit_state)
         elif policy == "afl_favor":
             intra_function_cull(queue, intra_state)
         elif policy == "harmonic_directed":

@@ -205,7 +205,7 @@ def _random_cull_state(rng):
 def test_cull_fidelity_exhaustive_scan():
     t0 = time.monotonic()
     rng = random.Random(161803)
-    states = 0
+    states = raised = returned = idle = 0
     failures = []
     while states < 500:
         graph, dmap, queue, fstate, ranking = _random_cull_state(rng)
@@ -228,7 +228,7 @@ def test_cull_fidelity_exhaustive_scan():
         if got != expected:
             failures.append("inter")
 
-        exploitation_cull(queue, ranking, graph, BestSeeds(), partial(dsf, dmap=dmap))
+        before = {s.id for s in queue if s.favor}
         candidates = [
             t.id
             for t in graph.targets()
@@ -237,19 +237,28 @@ def test_cull_fidelity_exhaustive_scan():
         ordered = sorted(candidates, key=lambda t: (ranking.state(t).hits, t))
         serviced = ordered[: math.ceil(len(ordered) * 0.2)]
         expected = set()
+        unreached = None
         for tid in serviced:
-            fn = graph.target(tid).function
             reaching = [s for s in queue if tid in s.trace.targets_reached]
-            if reaching:
-                expected.add(min(reaching, key=lambda s: (s.exec_time, s.id)).id)
-            else:
-                finite = [
-                    (dsf(s, fn, dmap), s.exec_time, s.id)
-                    for s in queue
-                    if dsf(s, fn, dmap) is not None
-                ]
-                if finite:
-                    expected.add(min(finite)[2])
+            if not reaching:
+                unreached = tid
+                break
+            expected.add(min(reaching, key=lambda s: (s.exec_time, s.id)).id)
+        if unreached is None:
+            returned += 1
+            idle += not serviced
+            exploitation_cull(queue, ranking, BestSeeds())
+        else:
+            # No queued seed reaches a serviced target: the cull raises,
+            # naming the first such target, and changes no favor.
+            raised += 1
+            expected = before
+            try:
+                exploitation_cull(queue, ranking, BestSeeds())
+                failures.append("exploit-raise")
+            except ValueError as e:
+                if str(e) != f"no queued seed reaches serviced target {unreached}":
+                    failures.append("exploit-raise")
         got = {s.id for s in queue if s.favor}
         if got != expected:
             failures.append("exploit")
@@ -261,7 +270,9 @@ def test_cull_fidelity_exhaustive_scan():
     report(
         "cull-fidelity",
         ok,
-        f"states={states} failures={sorted(set(failures))} elapsed={elapsed:.1f}s",
+        f"states={states} raised={raised} returned={returned} "
+        f"nothing_serviced={idle} failures={sorted(set(failures))} "
+        f"elapsed={elapsed:.1f}s",
     )
 
 

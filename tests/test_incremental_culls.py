@@ -17,7 +17,6 @@ from fishsched.ranking import TargetRanking
 from fishsched.scheduler import (
     BestSeeds,
     FunctionExplorationState,
-    _closest,
     exploitation_cull,
     harmonic_cull,
     inter_function_cull,
@@ -67,14 +66,15 @@ def _favored(queue) -> list:
 def check_growth(steps) -> int:
     """Grow a queue step by step, checking the four culls after every append.
 
-    Returns how many exploitation culls had to fall back to the dsf scan.
+    Returns how many steps serviced a target that no queued seed reaches;
+    there the exploitation cull raises and leaves every favor as it was.
     """
     queue: list = []
     ranking = TargetRanking(GRAPH)
     fstate = FunctionExplorationState(GRAPH)
     inter_state, intra_state = BestSeeds(), BestSeeds()
     exploit_state, harmonic_state = BestSeeds(), BestSeeds()
-    fallbacks = 0
+    raised = 0
     for sid, (trace, exec_time, size, ranking_only) in enumerate(steps):
         for t in (trace, *ranking_only):
             ranking.record_execution(t, sid)
@@ -101,8 +101,6 @@ def check_growth(steps) -> int:
             if near:
                 closest.add(min(near)[2])
         assert carried == sorted(closest)
-        scanned = {_closest(queue, fid, partial(dsf, dmap=DMAP)) for fid in unexplored}
-        assert closest == scanned - {None}
 
         intra_function_cull(queue, intra_state)
         carried = _favored(queue)
@@ -125,29 +123,24 @@ def check_growth(steps) -> int:
         nearest = min(queue, key=lambda s: (harmonic(s), s.exec_time, s.id))
         assert carried == [nearest.id]
 
-        lookups = []
-
-        def counted(seed, fid):
-            lookups.append(fid)
-            return dsf(seed, fid, DMAP)
-
-        serviced = exploitation_cull(
-            queue, ranking, GRAPH, exploit_state, dsf_fn=counted
-        )
-        carried = _favored(queue)
-        fresh = exploitation_cull(
-            queue, ranking, GRAPH, BestSeeds(), partial(dsf, dmap=DMAP)
-        )
-        assert fresh == serviced
-        assert carried == _favored(queue)
-
+        before = _favored(queue)
+        serviced = scheduler.serviced_targets(ranking)
         unreached = [
             t for t in serviced if not any(t in s.trace.targets_reached for s in queue)
         ]
-        # Only targets no queued seed reaches may cost a dsf lookup.
-        assert sorted(set(lookups)) == sorted({OWNER[t] for t in unreached})
-        fallbacks += bool(unreached)
-    return fallbacks
+        if unreached:
+            message = f"^no queued seed reaches serviced target {unreached[0]}$"
+            for state in (exploit_state, BestSeeds()):
+                with pytest.raises(ValueError, match=message):
+                    exploitation_cull(queue, ranking, state)
+                assert _favored(queue) == before
+            raised += 1
+            continue
+        assert exploitation_cull(queue, ranking, exploit_state) == serviced
+        carried = _favored(queue)
+        assert exploitation_cull(queue, ranking, BestSeeds()) == serviced
+        assert carried == _favored(queue)
+    return raised
 
 
 @settings(max_examples=150, deadline=None)
@@ -157,7 +150,7 @@ def test_carried_state_favors_what_a_fresh_cull_favors(steps, fraction):
         check_growth(steps)
 
 
-def test_serviced_target_without_a_reaching_seed_uses_the_dsf_scan():
+def test_serviced_target_without_a_reaching_seed_raises():
     entry_only = ExecutionTrace(functions=frozenset({0}))
     far = next(tid for tid in TARGETS if OWNER[tid] != 0)
     # Only a ranking-only execution reaches the far target; the queue never does.

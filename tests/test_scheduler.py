@@ -200,17 +200,15 @@ def ranking_with_hits(graph, hits, triggered=()):
 
 def test_exploit_cull_no_reached_targets():
     g = star_graph(3, targets_in=(1, 2, 3))
-    dmap = build_distance_map(g)
     r = TargetRanking(g)
     queue = [seed_with(1, {0})]
     queue[0].favor = True
-    exploitation_cull(queue, r, g, BestSeeds(), partial(dsf, dmap=dmap))
+    exploitation_cull(queue, r, BestSeeds())
     assert not queue[0].favor
 
 
 def test_exploit_cull_services_twenty_percent_least_hit():
     g = star_graph(10, targets_in=tuple(range(1, 11)))
-    dmap = build_distance_map(g)
     hits = {tid: 10 + tid for tid in range(10)}
     hits[7] = 1
     hits[3] = 2
@@ -220,54 +218,51 @@ def test_exploit_cull_services_twenty_percent_least_hit():
         seed_with(sid=tid + 1, funcs={0, tid + 1}, reached={tid})
         for tid in range(10)
     ]
-    exploitation_cull(queue, r, g, BestSeeds(), partial(dsf, dmap=dmap))
+    exploitation_cull(queue, r, BestSeeds())
     favored = sorted(s.id for s in queue if s.favor)
     assert favored == [4, 8]  # seeds reaching the two least-hit targets 7 and 3
 
 
 def test_exploit_cull_prefers_fastest_reaching_seed():
     g = star_graph(1, targets_in=(1,))
-    dmap = build_distance_map(g)
     r = ranking_with_hits(g, {0: 1})
     slow = seed_with(1, {0, 1}, exec_time=900, reached={0})
     fast = seed_with(2, {0, 1}, exec_time=400, reached={0})
-    exploitation_cull([slow, fast], r, g, BestSeeds(), partial(dsf, dmap=dmap))
+    exploitation_cull([slow, fast], r, BestSeeds())
     assert fast.favor and not slow.favor
 
 
-def test_exploit_cull_falls_back_to_closest_seed():
+def test_exploit_cull_raises_for_a_serviced_target_no_seed_reaches():
     g = star_graph(1, targets_in=(1,))
-    dmap = build_distance_map(g)
     r = ranking_with_hits(g, {0: 1})
-    # no queue seed traverses the target function but one is statically closer
+    # target 0 is serviced, but the only queued seed never reached it
     near = seed_with(1, {0})
-    exploitation_cull([near], r, g, BestSeeds(), partial(dsf, dmap=dmap))
+    near.favor = True
+    with pytest.raises(ValueError, match="^no queued seed reaches serviced target 0$"):
+        exploitation_cull([near], r, BestSeeds())
     assert near.favor
 
 
 def test_exploit_cull_drops_triggered_targets():
     g = star_graph(2, targets_in=(1, 2))
-    dmap = build_distance_map(g)
     # target 0 triggered and least-hit (2 hits incl. the triggering one) vs 5
     r = ranking_with_hits(g, {0: 1, 1: 5}, triggered=(0,))
     s1 = seed_with(1, {0, 1}, reached={0})
     s2 = seed_with(2, {0, 2}, reached={1})
-    exploitation_cull([s1, s2], r, g, BestSeeds(), partial(dsf, dmap=dmap))
+    exploitation_cull([s1, s2], r, BestSeeds())
     assert not s1.favor and s2.favor
 
 
 def test_exploit_cull_ceiling_never_starves_single_candidate():
     g = star_graph(1, targets_in=(1,))
-    dmap = build_distance_map(g)
     r = ranking_with_hits(g, {0: 3})
     s = seed_with(1, {0, 1}, reached={0})
-    exploitation_cull([s], r, g, BestSeeds(), partial(dsf, dmap=dmap))
+    exploitation_cull([s], r, BestSeeds())
     assert s.favor
 
 
 def test_exploit_cull_liveness_rotates_service():
     g = star_graph(2, targets_in=(1, 2))
-    dmap = build_distance_map(g)
     s1 = seed_with(1, {0, 1}, reached={0})
     s2 = seed_with(2, {0, 2}, reached={1})
     queue = [s1, s2]
@@ -275,7 +270,7 @@ def test_exploit_cull_liveness_rotates_service():
 
     favored_history = []
     for round_ in range(6):
-        exploitation_cull(queue, r, g, BestSeeds(), partial(dsf, dmap=dmap))
+        exploitation_cull(queue, r, BestSeeds())
         favored = next(s for s in queue if s.favor)
         favored_history.append(favored.id)
         # hammer the serviced target so the other becomes least-hit

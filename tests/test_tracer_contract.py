@@ -91,37 +91,28 @@ def test_every_campaign_side_span_is_recorded():
 
 def test_the_dsf_memo_hits_and_the_inter_cull_never_repeats_a_lookup(monkeypatch):
     # perfbench/test_bench.py asserts dsf_lookups > dsf_misses > 0 on a traced
-    # run: lookups are dsf_fn calls from the culls, misses are simulator.dsf.
+    # run: lookups are dsf_fn calls from the inter cull, the campaign's only
+    # dsf user, and misses are simulator.dsf.
     simulator = fishsched.simulator
-    lookups, inter_pairs, misses = [0], [], [0]
+    inter_cull = simulator.inter_function_cull
+    lookups, misses = [], [0]
 
-    def counting(cull, pairs=None):
-        def wrapped(*args, dsf_fn, **kwargs):
-            def counted(seed, fid):
-                lookups[0] += 1
-                if pairs is not None:
-                    pairs.append((seed.id, fid))
-                return dsf_fn(seed, fid)
+    def counting(*args, dsf_fn, **kwargs):
+        def counted(seed, fid):
+            lookups.append((seed.id, fid))
+            return dsf_fn(seed, fid)
 
-            return cull(*args, dsf_fn=counted, **kwargs)
-
-        return wrapped
+        return inter_cull(*args, dsf_fn=counted, **kwargs)
 
     def missed(*args):
         misses[0] += 1
         return dsf(*args)
 
-    monkeypatch.setattr(
-        simulator, "inter_function_cull",
-        counting(simulator.inter_function_cull, inter_pairs),
-    )
-    monkeypatch.setattr(
-        simulator, "exploitation_cull", counting(simulator.exploitation_cull)
-    )
+    monkeypatch.setattr(simulator, "inter_function_cull", counting)
     monkeypatch.setattr(simulator, "dsf", missed)
     graph = generate_program(SyntheticProgramSpec(n_functions=30, rng_seed=3))
     cfg = SchedulerConfig(w_function=20, w_reach=10, w_trigger=40)
     run_campaign(graph, CampaignConfig("fishfuzz", duration=300, scheduler_config=cfg))
 
-    assert lookups[0] > misses[0] > 0
-    assert inter_pairs and len(set(inter_pairs)) == len(inter_pairs)
+    assert len(lookups) > misses[0] > 0
+    assert len(set(lookups)) == len(lookups)
